@@ -17,6 +17,10 @@ Measures, on a sharded (``save_chunked``) zipf trace whose total size is
    traces have checkpointed, then rerun against the same checkpoint
    directory; its output grids must be byte-identical to an
    uninterrupted run's.
+4. **CSV decode** — one ``.csv.gz`` trace (zipf keys, mixed sizes and
+   ops) streamed through ``iter_csv`` (vectorized block decoder) and
+   through the row parser alone, interleaved, best of three each: the
+   chunks must be bit-identical and the block decoder >= 2x faster.
 
 Any violation makes the process exit nonzero (CI perf gate).  Writes
 machine-readable results to ``BENCH_fleet.json`` at the repo root plus a
@@ -119,6 +123,66 @@ def bench_streamed_soa(trace, chunk_dir, seed=1):
         "grid_streamed_s": round(grid_str_s, 4),
         "grid_streamed_throughput_ratio": round(grid_mem_s / grid_str_s, 3),
         "grid_identical": grid_identical,
+    }
+
+
+def bench_csv_decode(workdir, n_requests, n_objects, chunk_size, repeats=3):
+    """``iter_csv`` against the row-parser-only reference, same file."""
+    from repro.workloads.io import save_csv
+    from repro.workloads.stream import _csv_chunks, iter_csv
+    from repro.workloads.trace import Trace
+    from repro.workloads.zipf import zipf_trace_keys
+
+    rng = np.random.default_rng(2)
+    trace = Trace(
+        zipf_trace_keys(n_objects, n_requests, 0.99, rng=3),
+        rng.integers(1, 100_000, n_requests),
+        rng.integers(0, 3, n_requests),
+    )
+    path = Path(workdir) / "decode.csv.gz"
+    save_csv(trace, path)
+    del trace
+
+    def block_pass():
+        return iter_csv(path, chunk_size)
+
+    def row_pass():
+        return _csv_chunks(path, chunk_size, "strict", blocks=False)
+
+    def timed(make):
+        t0 = time.perf_counter()
+        for _ in make():
+            pass
+        return time.perf_counter() - t0
+
+    block_s, row_s = [], []
+    for _ in range(repeats):  # interleaved: a slow phase hits both
+        block_s.append(timed(block_pass))
+        row_s.append(timed(row_pass))
+    identical = True
+    n_chunks = 0
+    for a, b in zip(block_pass(), row_pass()):
+        n_chunks += 1
+        identical &= bool(
+            np.array_equal(a.keys, b.keys)
+            and np.array_equal(a.sizes, b.sizes)
+            and np.array_equal(a.ops, b.ops)
+            and a.keys.dtype == b.keys.dtype
+            and a.ops.dtype == b.ops.dtype
+            and a.skipped_rows == b.skipped_rows
+        )
+    identical &= n_chunks == sum(1 for _ in row_pass())
+    return {
+        "requests": n_requests,
+        "chunk_size": chunk_size,
+        "file_bytes": path.stat().st_size,
+        "block_s": round(min(block_s), 4),
+        "row_parser_s": round(min(row_s), 4),
+        "block_requests_per_s": round(n_requests / min(block_s)),
+        "row_parser_requests_per_s": round(n_requests / min(row_s)),
+        "speedup": round(min(row_s) / min(block_s), 2),
+        "chunks": n_chunks,
+        "chunks_identical": identical,
     }
 
 
@@ -313,6 +377,13 @@ def _gate(payload):
             f"streamed peak RSS delta is {rss['streamed_over_materialized']}x "
             f"the materialized delta (> 0.6x: not chunk-bounded)"
         )
+    decode = payload["csv_decode"]
+    if not decode["chunks_identical"]:
+        failures.append("block-decoded CSV chunks differ from the row parser's")
+    if decode["speedup"] < 2.0:
+        failures.append(
+            f"CSV block decoder only {decode['speedup']}x the row parser (< 2x)"
+        )
     kill = payload["kill_resume"]
     if not kill["resume_identical_to_clean"]:
         failures.append("resumed fleet grids differ from uninterrupted run")
@@ -328,7 +399,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke mode: 1.2M-request RSS trace instead of 5M",
+        help="CI smoke mode: 1.2M-request RSS trace instead of 5M, "
+        "256k-request CSV decode trace instead of 1M",
     )
     args = parser.parse_args(argv)
 
@@ -336,6 +408,7 @@ def main(argv=None):
     n_objects = 60_000 if args.quick else 200_000
     chunk_size = 100_000
     kill_requests = 40_000 if args.quick else 120_000
+    decode_requests = 1 << 18 if args.quick else 1 << 20
 
     with tempfile.TemporaryDirectory(prefix="bench-fleet-") as tmp:
         chunk_dir = Path(tmp) / "trace.chunks"
@@ -344,6 +417,7 @@ def main(argv=None):
         del trace
         rss = bench_rss(chunk_dir, n_requests, chunk_size)
         kill = bench_kill_resume(tmp, n_requests=kill_requests)
+        decode = bench_csv_decode(tmp, decode_requests, n_objects, 65536)
 
     payload = {
         "bench": "fleet",
@@ -359,6 +433,7 @@ def main(argv=None):
         "streamed_soa": soa,
         "rss": rss,
         "kill_resume": kill,
+        "csv_decode": decode,
     }
     failures = _gate(payload)
     payload["gate_failures"] = failures
@@ -398,6 +473,15 @@ def main(argv=None):
         f"  resumed traces: {kill['resumed_traces']}",
         f"  resume identical to clean run: "
         f"{kill['resume_identical_to_clean']}",
+        "",
+        f"CSV decode ({decode['requests']} requests, .csv.gz, "
+        f"{decode['chunk_size']}-row chunks, best of 3):",
+        f"  row parser  {decode['row_parser_s']:8.2f}s  "
+        f"{decode['row_parser_requests_per_s']:>10,} req/s",
+        f"  blocks      {decode['block_s']:8.2f}s  "
+        f"{decode['block_requests_per_s']:>10,} req/s  "
+        f"({decode['speedup']:.2f}x)",
+        f"  identical: {decode['chunks_identical']}",
         "",
         f"wrote {out}",
     ]

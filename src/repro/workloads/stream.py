@@ -39,11 +39,31 @@ from __future__ import annotations
 import json
 import zlib
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Protocol, Tuple, Union
+from typing import (
+    IO,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    Union,
+    cast,
+)
 
 import numpy as np
 
-from .io import PathLike, _CsvRowReader, load_npz, open_text
+from .io import (
+    PathLike,
+    _Columns,
+    _CsvRowReader,
+    _open_binary,
+    _Row,
+    load_npz,
+    open_text,
+)
 from .trace import Trace
 
 __all__ = [
@@ -106,47 +126,96 @@ def iter_csv(
 ) -> Iterator[Trace]:
     """Stream a CSV trace (``.csv`` or ``.csv.gz``) in bounded chunks.
 
-    Single pass, one open file handle, peak memory of one chunk — the
-    file never fully materializes.  Row validation and ``errors``
-    semantics are shared with :func:`repro.workloads.io.load_csv`; with
-    ``errors="skip"`` each chunk's ``skipped_rows`` counts the rows
-    dropped while filling *that* chunk (their sum equals the whole-file
-    count reported by ``load_csv``).
+    Single pass, one open file handle, peak memory of one chunk plus one
+    decode block — the file never fully materializes.  Blocks of clean
+    lines decode vectorized; any block the fast path cannot prove clean
+    is parsed row by row (see :mod:`repro.workloads.io`), so the chunks,
+    errors and skip counts are those of the row parser.  Row validation
+    and ``errors`` semantics are shared with
+    :func:`repro.workloads.io.load_csv`; with ``errors="skip"`` each
+    chunk's ``skipped_rows`` counts the rows dropped while filling *that*
+    chunk (their sum equals the whole-file count reported by ``load_csv``).
+    """
+    yield from _csv_chunks(path, chunk_size, errors, blocks=True)
+
+
+def _csv_chunks(
+    path: PathLike, chunk_size: int, errors: str, blocks: bool
+) -> Iterator[Trace]:
+    """:func:`iter_csv`'s exact-``chunk_size`` accumulator.
+
+    ``blocks=False`` reads the file through the row parser alone (a
+    text-mode ``csv.reader``): the reference the block decoder is
+    tested and benchmarked against.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     path = Path(path)
     parser = _CsvRowReader(path, errors)
     stem = path.stem[:-4] if path.stem.endswith(".csv") else path.stem
-    keys: List[int] = []
+    parts: List[_Columns] = []  # decoded, not yet emitted, in file order
+    keys: List[int] = []  # rows parsed one at a time since the last part
     sizes: List[int] = []
     ops: List[int] = []
+    pending = 0
     skipped_emitted = 0
 
-    def flush() -> Trace:
-        nonlocal skipped_emitted
+    def seal_rows() -> None:
+        """Move the rows parsed one at a time into ``parts``."""
+        if keys:
+            parts.append((
+                np.asarray(keys, dtype=np.int64),
+                np.asarray(sizes, dtype=np.int64),
+                np.asarray(ops, dtype=np.int8),
+            ))
+            keys.clear()
+            sizes.clear()
+            ops.clear()
+
+    def emit(n: int) -> Trace:
+        """The first ``n`` pending requests as a chunk."""
+        nonlocal pending, skipped_emitted
+        seal_rows()
+        if parts:
+            cols = [np.concatenate(c) if len(c) > 1 else c[0] for c in zip(*parts)]
+        else:  # only skipped rows left to report
+            cols = [np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int8)]
+        parts[:] = [(cols[0][n:], cols[1][n:], cols[2][n:])] if n < pending else []
+        pending -= n
         chunk = Trace(
-            np.asarray(keys, dtype=np.int64),
-            np.asarray(sizes, dtype=np.int64),
-            np.asarray(ops, dtype=np.int8),
+            cols[0][:n], cols[1][:n], cols[2][:n],
             name=stem,
             skipped_rows=parser.skipped - skipped_emitted,
         )
         skipped_emitted = parser.skipped
-        keys.clear()
-        sizes.clear()
-        ops.clear()
         return chunk
 
-    with open_text(path, "rt") as fh:
-        for key, size, op in parser.rows(fh):
-            keys.append(key)
-            sizes.append(size)
-            ops.append(op)
-            if len(keys) >= chunk_size:
-                yield flush()
-    if keys or parser.skipped > skipped_emitted:
-        yield flush()
+    source: IO[Any]
+    records: Iterator[Union[_Row, _Columns]]
+    if blocks:
+        source = _open_binary(path)
+        records = parser.blocks(source)
+    else:
+        source = open_text(path, "rt")
+        records = parser.rows(source)
+    with source:
+        for record in records:
+            if isinstance(record[0], np.ndarray):
+                seal_rows()
+                parts.append(cast(_Columns, record))
+                pending += record[0].shape[0]
+                while pending >= chunk_size:
+                    yield emit(chunk_size)
+            else:
+                key, size, op = cast(_Row, record)
+                keys.append(key)
+                sizes.append(size)
+                ops.append(op)
+                pending += 1
+                if pending >= chunk_size:
+                    yield emit(chunk_size)
+    if pending or parser.skipped > skipped_emitted:
+        yield emit(pending)
 
 
 def iter_npz(path: PathLike, chunk_size: int = DEFAULT_CHUNK) -> Iterator[Trace]:

@@ -334,6 +334,13 @@ class TestSupervisorEndToEnd:
             sup.add_tenant(TenantConfig(tenant_id="t", k=4, window=2_000, seed=9))
             with pytest.raises(TenantUnavailable):
                 sup.ingest("nope", [1])
+            # Wait for a live answer: a worker still starting up would
+            # replay the batches below from the WAL, and replayed batches
+            # do not count towards snapshot_every.
+            deadline = time.monotonic() + 10
+            while sup.query("t")["stale"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
 
             for b in range(4):
                 sup.ingest("t", [i % 50 for i in range(b * 31, b * 31 + 100)])
@@ -344,6 +351,12 @@ class TestSupervisorEndToEnd:
                     break
                 assert time.monotonic() < deadline, live
                 time.sleep(0.1)
+            # A live answer can overtake the worker's "snapshotted" message;
+            # wait until the supervisor has handled it, so a snapshot is on
+            # disk before the worker dies.
+            while sup.health()["tenants"]["t"]["applied_seq"] < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
 
             # Kill the worker: queries must degrade to the snapshot, with
             # a staleness age, instead of erroring.

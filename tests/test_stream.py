@@ -179,6 +179,209 @@ def test_iter_csv_skip_counts_per_chunk(tmp_path):
     assert sum(len(c) for c in chunks) == 4
 
 
+# ----------------------------------------------------------------------
+# block decoder == row parser
+# ----------------------------------------------------------------------
+_NUMBERS = [
+    "0", "1", "7", "007", "42", "123456789012345678", "999999999999999999",
+    "1000000000000000000", "9223372036854775807", "9223372036854775808",
+    "18446744073709551616", "-9223372036854775808", "-1", "+5", "1_000",
+    " 7", "7 ", "",
+]
+_OPS = ["get", "set", "delete", "GET", "Set", "deletes", "teleport", "ge", ""]
+_ODD = ['"5"', '"1,2"', '"3\n4"', '"get"', "x", "1e3", "\t1", "\u0661", "\r", "1\r2"]
+
+#: Clean values per column; any other header name is an extra column.
+_CLEAN = {
+    "key": st.one_of(st.integers(0, 10**6), st.integers(0, 10**18 - 1)).map(str),
+    "size": st.integers(1, 10**4).map(str),
+    "op": st.sampled_from(["get", "set", "delete"]),
+}
+_EXTRA = st.sampled_from(["", "0", "17", "get", "dd"])
+field_st = st.one_of(
+    st.integers(0, 10**21).map(str),
+    st.sampled_from(_NUMBERS + _OPS + _ODD),
+)
+header_st = st.one_of(
+    st.just(["key", "size", "op"]),
+    st.permutations(["key", "size", "op", "extra"]).map(list),
+    st.lists(st.sampled_from(["key", "size", "op", "extra", " Key", "OP"]),
+             min_size=1, max_size=4),
+)
+
+
+@st.composite
+def csv_text_st(draw):
+    """A header, clean rows for it, a few dirty rows, and line ends."""
+    header = draw(header_st)
+
+    def clean_row():
+        return [draw(_CLEAN.get(name.strip().lower(), _EXTRA)) for name in header]
+
+    rows = [clean_row() for _ in range(draw(st.integers(0, 40)))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["tweak", "garbage", "blank", "short", "long"]))
+        row = clean_row()
+        if kind == "tweak":
+            row[draw(st.integers(0, len(row) - 1))] = draw(field_st)
+        elif kind == "garbage":
+            row = draw(st.lists(field_st, max_size=5))
+        elif kind == "blank":
+            row = []
+        elif kind == "short":
+            row = row[:-1]
+        else:
+            row.append(draw(_EXTRA))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    ending = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    if ending == "mixed":
+        text = "".join(
+            line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines
+        )
+    else:
+        text = ending.join(lines) + ending
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    return text
+
+
+def _chunks_or_error(path, chunk_size, errors, blocks):
+    from repro.workloads.stream import _csv_chunks
+
+    chunks = []
+    try:
+        for chunk in _csv_chunks(path, chunk_size, errors, blocks=blocks):
+            chunks.append(chunk)
+    except Exception as exc:  # compared by type against the other mode
+        return chunks, type(exc)
+    return chunks, None
+
+
+def _assert_same_decode(path, chunk_size, errors, block_bytes):
+    """Block decoder (with ``block_bytes`` blocks) vs row parser: same
+    chunks, per-chunk skip counts and strict-mode exception type."""
+    import repro.workloads.io as io_mod
+
+    expected, expected_exc = _chunks_or_error(path, chunk_size, errors, blocks=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_mod, "_BLOCK_BYTES", block_bytes)
+        got, got_exc = _chunks_or_error(path, chunk_size, errors, blocks=True)
+    assert got_exc is expected_exc
+    assert [len(c) for c in got] == [len(c) for c in expected]
+    assert [c.skipped_rows for c in got] == [c.skipped_rows for c in expected]
+    for a, b in zip(got, expected):
+        _assert_traces_equal(a, b)
+        assert a.keys.dtype == b.keys.dtype and a.ops.dtype == b.ops.dtype
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=csv_text_st(),
+    block_bytes=st.integers(1, 96),
+    chunk_size=st.integers(1, 9),
+    errors=st.sampled_from(["strict", "skip"]),
+    suffix=st.sampled_from([".csv", ".csv.gz"]),
+)
+def test_block_decoder_matches_row_parser(
+    text, block_bytes, chunk_size, errors, suffix, tmp_path_factory
+):
+    """Tiny blocks make lines and quoted fields straddle block ends."""
+    path = tmp_path_factory.mktemp("diff") / f"t{suffix}"
+    data = text.encode()
+    path.write_bytes(gzip.compress(data) if suffix == ".csv.gz" else data)
+    _assert_same_decode(path, chunk_size, errors, block_bytes)
+
+
+#: Whole odd lines: blank, short, long, split, and a quoted field whose
+#: halves each look like a clean line.
+_ODD_LINES = [
+    "", "5", "5,1", "5,1,get,9", "5\n6", "5\r6", ",", "1\r2,1,get",
+    '"a,1,get\nb",2,set',
+]
+_COLUMN_VALUES = {
+    "key": lambda i: str(i * 37),
+    "size": lambda i: str(i % 5 + 1),
+    "op": lambda i: ("get", "set", "delete")[i % 3],
+    "extra": lambda i: "dd",
+}
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("header", ["key,size,op", "key,size", "extra,key,op"])
+def test_block_decoder_edge_cases_in_clean_blocks(tmp_path, ending, header):
+    """Every edge-case value in every column, and every odd line, alone in
+    an otherwise clean block: it must decode exactly as rows do."""
+    names = header.split(",")
+    clean = [",".join(_COLUMN_VALUES[n](i) for n in names) for i in range(8)]
+    odd = list(_ODD_LINES)
+    for column in range(len(names)):
+        for value in _NUMBERS + _OPS + _ODD:
+            row = clean[1].split(",")
+            row[column] = value
+            odd.append(",".join(row))
+    path = tmp_path / "t.csv"
+    for line in odd:
+        path.write_bytes((ending.join([header, *clean, line, *clean]) + ending).encode())
+        for errors in ("strict", "skip"):
+            _assert_same_decode(path, 4, errors, 1 << 10)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("header", ["key,size,op", "op,size,key", "key,size", "key"])
+def test_clean_blocks_skip_the_row_parser(tmp_path, monkeypatch, ending, header):
+    """Clean files (save_csv's CRLF output among them) decode without a
+    single row going through the row parser, in any column order."""
+    import repro.workloads.io as io_mod
+    from repro.workloads.trace import op_name
+
+    n = 5000
+    names = header.split(",")
+    trace = Trace(
+        np.arange(n) * 7919 % 1001,
+        np.arange(n) % 9 + 1 if "size" in names else None,
+        np.arange(n) % 3 if "op" in names else None,
+    )
+    columns = {"key": trace.keys, "size": trace.sizes, "op": list(map(op_name, trace.ops))}
+    lines = [header] + [",".join(str(columns[c][i]) for c in names) for i in range(n)]
+    path = tmp_path / "t.csv"
+    path.write_bytes((ending.join(lines) + ending).encode())
+
+    def refuse(self, row):
+        raise AssertionError(f"row parser used for {row!r}")
+
+    monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 1000)
+    monkeypatch.setattr(io_mod._CsvRowReader, "parse", refuse)
+    chunks = list(iter_csv(path, chunk_size=777))
+    assert [len(c) for c in chunks[:-1]] == [777] * (len(chunks) - 1)
+    _assert_traces_equal(Trace.concat(chunks, name="t"), trace)
+
+
+def test_save_csv_matches_csv_writer(tmp_path):
+    import csv
+    import io
+
+    from repro.workloads.trace import op_name
+
+    rng = np.random.default_rng(3)
+    n = 70_000  # more than one formatting block
+    trace = Trace(
+        rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64),
+        rng.integers(1, 2**40, n),
+        rng.integers(0, 3, n),
+    )
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["key", "size", "op"])
+    for k, s, o in zip(trace.keys, trace.sizes, trace.ops):
+        writer.writerow([int(k), int(s), op_name(int(o))])
+    expected_bytes = expected.getvalue().encode()
+    save_csv(trace, tmp_path / "t.csv")
+    save_csv(trace, tmp_path / "t.csv.gz")
+    assert (tmp_path / "t.csv").read_bytes() == expected_bytes
+    assert gzip.decompress((tmp_path / "t.csv.gz").read_bytes()) == expected_bytes
+
+
 def test_iter_npz_matches_trace(tmp_path):
     trace = _trace(np.arange(101) % 13, np.arange(101) % 7 + 1)
     path = tmp_path / "t.npz"
