@@ -7,7 +7,11 @@ Measures, on a 500k-request zipf trace (50k objects, alpha=0.99):
    per-request histogram record, i.e. the pre-engine code path), (b) the
    fused scalar `access_many` batch path, and (c) the array-native SoA
    engine (`engine="soa"`, native chain-walk kernel when a C compiler is
-   available).  All three must produce bit-identical curves.
+   available).  All three must produce bit-identical curves.  The SoA
+   run is also split into stages: its swap count, its wall time per swap,
+   and the cost per draw of a standalone `backward_draw_block` loop over
+   as many draws as the run consumed, so walk time and draw time can be
+   told apart.
 2. **MultiKRR one-pass grid** — the 12-config (K x sampling-rate) grid
    evaluated in one streaming pass, bit-identity-checked against the
    scalar-engine `ModelSweep` oracle.
@@ -90,6 +94,10 @@ def bench_engines(trace, seed=1):
     t0 = time.perf_counter()
     soa_model.process(trace, engine="soa")
     soa_s = time.perf_counter() - t0
+    soa_swaps = soa_model.stats.swap_positions
+    draw_ns = _draw_ns_per_draw(
+        soa_model._stack.k, soa_swaps - soa_model.stats.stack_updates, seed
+    )
 
     legacy_curve = legacy_model.mrc().miss_ratios
     identical = bool(
@@ -109,8 +117,31 @@ def bench_engines(trace, seed=1):
         "scalar_speedup_vs_legacy": round(legacy_s / scalar_s, 3),
         "soa_speedup_vs_legacy": round(legacy_s / soa_s, 3),
         "soa_speedup_vs_scalar": round(scalar_s / soa_s, 3),
+        "soa_swaps": soa_swaps,
+        "soa_ns_per_swap": round(soa_s / soa_swaps * 1e9, 2),
+        "draw_ns_per_draw": round(draw_ns, 2),
         "curves_identical": identical,
     }
+
+
+def _draw_ns_per_draw(k, draws, seed):
+    """Cost per draw of the SoA stack's refill, in ns, over ``draws``.
+
+    Every swap step but the first of each update consumes one draw, so a
+    run's draws are its swaps minus its updates; they arrive in whole
+    ``DRAW_BLOCK`` refills of one reused buffer, as in the SoA stack.
+    """
+    from repro._util import ensure_rng
+    from repro.core.updates import DRAW_BLOCK, backward_draw_block
+
+    blocks = max(1, -(-draws // DRAW_BLOCK))
+    rng = ensure_rng(seed)
+    buf = np.empty(DRAW_BLOCK, dtype=np.float64)
+    inv_k = 1.0 / k
+    t0 = time.perf_counter()
+    for _ in range(blocks):
+        backward_draw_block(rng, inv_k, DRAW_BLOCK, out=buf)
+    return (time.perf_counter() - t0) / (blocks * DRAW_BLOCK) * 1e9
 
 
 def bench_multi_krr(trace, seed=3):
@@ -257,6 +288,9 @@ def main(argv=None):
         f"  soa         {engines['soa_s']:8.2f}s  "
         f"{engines['soa_requests_per_s']:>10,} req/s  "
         f"({engines['soa_speedup_vs_legacy']:.2f}x)",
+        f"  soa stages: {engines['soa_swaps']:,} swaps, "
+        f"{engines['soa_ns_per_swap']:.2f} ns/swap wall, "
+        f"draw refill {engines['draw_ns_per_draw']:.2f} ns/draw",
         f"  curves identical: {engines['curves_identical']}",
         "",
         f"MultiKRR one-pass {multi['n_configs']}-config grid "

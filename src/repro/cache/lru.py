@@ -427,21 +427,27 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
                 self._remove_locked(key)
             self.rejected += 1
             return False
+        # The new bytes are published only after eviction made room, so
+        # a lock-free used_bytes read never exceeds capacity_bytes.  The
+        # key itself is never the victim here: it is shielded while other
+        # residents exist, and alone it fits (nbytes <= capacity).
         if key in self._residents:
             old = self._sizes[key]
             self._data[key] = value
             self._last_access[key] = self._clock
             if old != nbytes:
-                self._used += nbytes - old
+                self._evict_until_fits_locked(
+                    key, self._capacity_bytes - (nbytes - old)
+                )
                 self._sizes[key] = nbytes
-                self._evict_until_fits_locked(key)
+                self._used += nbytes - old
             return key in self._residents
         self._residents.add(key)
         self._data[key] = value
-        self._sizes[key] = nbytes
         self._last_access[key] = self._clock
+        self._evict_until_fits_locked(key, self._capacity_bytes - nbytes)
+        self._sizes[key] = nbytes
         self._used += nbytes
-        self._evict_until_fits_locked(key)
         return True
 
     def _remove_locked(self, key: Hashable) -> None:
@@ -450,8 +456,11 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
         del self._last_access[key]
         self._used -= self._sizes.pop(key)
 
-    def _evict_until_fits_locked(self, protect: Hashable) -> None:
-        while self._used > self._capacity_bytes and len(self._residents) > 0:
+    def _evict_until_fits_locked(self, protect: Hashable, budget: int) -> None:
+        """Evict until ``used`` fits ``budget``: the capacity less the
+        bytes a store adds, or a new, smaller capacity.  Callers publish
+        those bytes, or that capacity, only afterwards."""
+        while self._used > budget and len(self._residents) > 0:
             victim = select_victim(
                 self._residents.keys,
                 self._last_access,
@@ -585,8 +594,8 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
         check_positive("capacity_bytes", capacity_bytes)
         with self._lock:
             before = self.stats.evictions
+            self._evict_until_fits_locked(NO_PROTECT, int(capacity_bytes))
             self._capacity_bytes = int(capacity_bytes)
-            self._evict_until_fits_locked(NO_PROTECT)
             return self.stats.evictions - before
 
     def set_k(self, k: int) -> None:
@@ -618,8 +627,8 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
             new_capacity = int(max(min_bytes, recommended))
             if max_bytes is not None:
                 new_capacity = min(new_capacity, int(max_bytes))
+            self._evict_until_fits_locked(NO_PROTECT, new_capacity)
             self._capacity_bytes = new_capacity
-            self._evict_until_fits_locked(NO_PROTECT)
             return new_capacity
 
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ The equivalence of the three distributions is property-tested in
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Protocol
+from typing import Any, Dict, List, Optional, Protocol
 
 import numpy as np
 
@@ -49,7 +49,10 @@ DRAW_BLOCK = 4096
 
 
 def backward_draw_block(
-    rng: np.random.Generator, inv_k: float, block: int = DRAW_BLOCK
+    rng: np.random.Generator,
+    inv_k: float,
+    block: int = DRAW_BLOCK,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One backward-update draw block: ``(1 - U)^(1/K)`` for a uniform block.
 
@@ -59,10 +62,21 @@ def backward_draw_block(
     :class:`BackwardUpdate` serves the block as Python floats and the SoA
     engine consumes the array directly, so for the same generator state
     both paths see exactly the same IEEE-754 values in the same order.
+
+    The block is computed in place, in ``out`` (a C-contiguous
+    ``float64`` array of length ``block``) when given, else in a new
+    array; both give the bytes and generator consumption of
+    ``(1.0 - rng.random(block)) ** inv_k``: ``**=`` takes NumPy's
+    scalar-exponent fast paths (``sqrt``, ``square``, copy) exactly where
+    ``u ** inv_k`` does.
     """
-    u = 1.0 - rng.random(block)  # uniform on (0, 1]
-    out = u**inv_k
-    assert isinstance(out, np.ndarray)
+    if out is None:
+        out = np.empty(block, dtype=np.float64)
+    elif out.shape != (block,):
+        raise ValueError(f"out must have shape ({block},), got {out.shape}")
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)  # uniform on (0, 1]
+    out **= inv_k
     return out
 
 

@@ -172,12 +172,14 @@ def _worker_main(
     # sitting in the (inherited) inbox with seq <= applied_seq afterwards
     # is a duplicate and gets skipped by the dedup check below.
     wal = TenantWAL(root / "wal")
+    replayed = 0
     for seq, keys, sizes in wal.replay(applied_seq):
         model.access_many(keys, sizes)
         if shards is not None:
             for i, key in enumerate(keys):
                 shards.access(int(key), int(sizes[i]) if sizes else 1)
         applied_seq = seq
+        replayed += 1
     wal.close()
 
     def apply_batch(seq: int, keys: List[int], sizes: Optional[List[int]]) -> int:
@@ -200,7 +202,10 @@ def _worker_main(
         outbox.put(("snapshotted", generation, applied_seq))
 
     last_snapshot = time.monotonic()
-    batches_since_snapshot = 0
+    # Replayed batches are in no snapshot yet: they count toward the
+    # cadence, so a restarted worker snapshots them (and the parent can
+    # compact its WAL) without waiting for new traffic.
+    batches_since_snapshot = replayed
     while True:
         timeout = max(0.05, snapshot_interval - (time.monotonic() - last_snapshot))
         try:

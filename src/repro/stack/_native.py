@@ -7,6 +7,16 @@ path at a few hundred nanoseconds per chain step.  The kernel in
 ``_soa_kernel.c`` runs the identical arithmetic at C speed over the flat
 SoA arrays (10x+ end to end; see docs/PERFORMANCE.md).
 
+A ctypes call is cheap only when its arguments are plain ints: reading
+``ndarray.ctypes.data`` builds a helper object per array, so a call that
+looks up six addresses costs 10-15 us on a 2-vCPU Xeon VM against 1-2 us
+for a call with the addresses already resolved.
+:meth:`BackwardKernel.bind` therefore resolves them once per chunk and
+returns a zero-argument call, which each draw-block refill (one every
+4096 swap steps) re-enters.  The arrays must stay where they are while
+the bound call is in use: the SoA stack grows its arrays before binding
+and fills its one draw buffer in place.
+
 This module compiles that one C file with the system compiler the first
 time it is needed and binds it through :mod:`ctypes`.  There is no build
 step, no packaging change and no new dependency: if no compiler is
@@ -24,13 +34,14 @@ temp name, then atomic ``os.replace``).
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -131,7 +142,7 @@ class BackwardKernel:
         ]
         self._fn = fn
 
-    def run(
+    def bind(
         self,
         kids: np.ndarray,
         stack: np.ndarray,
@@ -139,13 +150,17 @@ class BackwardKernel:
         buf: np.ndarray,
         distances: np.ndarray,
         state: np.ndarray,
-    ) -> bool:
-        """One kernel call; True = chunk done, False = refill ``buf`` first.
+    ) -> Callable[[], int]:
+        """The kernel call over these arrays, with their addresses resolved.
 
+        Each call of the result returns 1 when the chunk is done and 0
+        when ``buf`` must be refilled (in place) before calling again.
         All arrays must be C-contiguous (``int64`` except the ``float64``
-        draw buffer); the caller owns buffer refills and state resets.
+        draw buffer) and must not move or be freed while the call is in
+        use; the caller owns buffer refills and state resets.
         """
-        done = self._fn(
+        return functools.partial(
+            self._fn,
             kids.ctypes.data,
             kids.shape[0],
             stack.ctypes.data,
@@ -155,7 +170,6 @@ class BackwardKernel:
             distances.ctypes.data,
             state.ctypes.data,
         )
-        return bool(done)
 
 
 def load_backward_kernel() -> Optional[BackwardKernel]:

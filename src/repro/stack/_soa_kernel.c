@@ -4,7 +4,7 @@
  * request it looks up the referenced key's slot in the flat position
  * array, records the pre-update stack distance, then walks the backward
  * update's inverse-CDF swap chain (Algorithm 2) over the flat stack
- * array.  The arithmetic is kept EXACTLY as in
+ * array.  The arithmetic computes EXACTLY the slot of
  * repro.core.updates.BackwardUpdate.apply_fused — `v = buf[bpos] * j`,
  * truncate, `y = t < v ? t : t - 1` — so for the same draw buffer the
  * kernel is draw-for-draw and slot-for-slot identical to the scalar
@@ -12,6 +12,23 @@
  * repro.core.updates.backward_draw_block (the shared inverse-CDF block
  * transform); when it runs dry mid-chain the kernel checkpoints its full
  * state into `state` and returns 0 so the caller can refill and resume.
+ *
+ * The swap step is a loop-carried chain: the slot `y` drawn at step n is
+ * the `j` of step n + 1, so every step waits for the previous one's
+ * int->double convert, multiply and truncate.  The exact-integer
+ * correction is written as `y = t`, then `y = t - 1` only when
+ * `(double)t == v`.  That is the same `y` for every positive finite `v`
+ * (t = trunc(v) <= v, so `t < v` fails only on equality; draws are in
+ * (0, 1] and j >= 1, so v is never NaN or <= 0), but it keeps the
+ * compare off the chain: `==` compiles to a branch that is almost never
+ * taken (random draws hit it with odds ~1e-13 per step) and the branch
+ * predictor runs ahead of it.  The ternary form, and the `!(t < v)` /
+ * `t >= v` spellings, are if-converted by gcc 12 into `setbe`/`sub` (or
+ * `adc`) on the chain, which costs ~4 ns a step.  That gain was measured
+ * with gcc 12 only; clang was not measured, and any compiler may still
+ * if-convert the branch.  Check with `cc -O3 -S`: after `mulsd` and
+ * `cvttsd2si` the loop body must show the `ucomisd` feeding only
+ * `jp`/`jne` jumps around the `t - 1`, and no `setbe`, `adc` or `sbb`.
  *
  * Compiled on demand by repro.stack._native via the system C compiler;
  * everything is plain int64/double arrays so the only ABI surface is
@@ -82,7 +99,9 @@ int64_t krr_backward_chunk(
              * u in (0, 1] makes the result land in [0, j-1] already. */
             v = buf[bpos++] * (double)j;
             t = (int64_t)v;
-            y = ((double)t < v) ? t : t - 1;
+            y = t;
+            if (__builtin_expect((double)t == v, 0))
+                y = t - 1;        /* exact integer: ceil(v) - 1 = t - 1 */
             moved = stack[y];
             stack[j] = moved;
             pos[moved] = j;

@@ -131,9 +131,12 @@ class SoAKRRStack:
 
         # Draw buffers, lazily filled on first use — exactly like the
         # scalar strategies, so construction consumes no generator state.
-        self._buf = np.empty(0, dtype=np.float64)  # backward: (1-U)^(1/K)
-        self._buf_list: List[float] = []           # python-walk mirror
-        self._bpos = 0
+        # The backward buffer is one array for the stack's lifetime,
+        # refilled in place, so the kernel call bound over it per chunk
+        # stays valid across refills; it starts spent (bpos == block).
+        self._buf = np.empty(DRAW_BLOCK, dtype=np.float64)  # (1-U)^(1/K)
+        self._buf_list: List[float] = []                    # python mirror
+        self._bpos = DRAW_BLOCK
         self._ubuf = np.empty(0, dtype=np.float64)  # linear: raw uniforms
         self._ubpos = 0
         self._table = survival_table(self.k) if strategy == "linear" else None
@@ -392,12 +395,17 @@ class SoAKRRStack:
         state[2] = self._bpos
         state[4] = self.total_swaps
         state[5] = -1
-        while not self._kernel.run(
-            kids, self._stack, self._pos, self._buf, distances, state
-        ):
-            self._buf = np.ascontiguousarray(
-                backward_draw_block(self._rng, self._inv_k, DRAW_BLOCK)
-            )
+        # _ensure_capacity already ran, so no array moves during the
+        # chunk: bind the addresses once and refill the buffer in place.
+        buf = self._buf
+        run = self._kernel.bind(
+            kids, self._stack, self._pos, buf, distances, state
+        )
+        rng = self._rng
+        inv_k = self._inv_k
+        block = buf.shape[0]
+        while not run():
+            backward_draw_block(rng, inv_k, block, out=buf)
             state[2] = 0
         self._n = int(state[1])
         self._bpos = int(state[2])

@@ -130,6 +130,56 @@ class TestByteAccounting:
         assert c.stats.hits == 1 and c.stats.misses == 1
 
 
+def _spy_budget(monkeypatch, cache):
+    """Check the lock-free budget reads at every victim selection.
+
+    ``select_victim`` runs mid-eviction, so the spy sees exactly what a
+    concurrent ``used_bytes``/``capacity_bytes`` reader could see then.
+    """
+    import repro.cache.lru as lru_mod
+
+    real = lru_mod.select_victim
+    seen = []
+
+    def spy(keys, *args, **kwargs):
+        seen.append((cache.used_bytes, cache.capacity_bytes))
+        assert cache.used_bytes <= cache.capacity_bytes, seen[-1]
+        return real(keys, *args, **kwargs)
+
+    monkeypatch.setattr(lru_mod, "select_victim", spy)
+    return seen
+
+
+class TestLockFreeBudgetReads:
+    def _full_cache(self):
+        c = SamplingLRUCache(1000, k=3, seed=0)
+        for key in range(16):
+            c.put(key, None, size=60)
+        assert c.used_bytes == 960 and c.stats.evictions == 0
+        return c
+
+    def test_new_put_publishes_bytes_after_eviction(self, monkeypatch):
+        c = self._full_cache()
+        seen = _spy_budget(monkeypatch, c)
+        c.put(16, None, size=60)
+        assert seen and c.stats.evictions == 1
+        assert 16 in c and c.used_bytes == 960
+
+    def test_resize_on_hit_publishes_bytes_after_eviction(self, monkeypatch):
+        c = self._full_cache()
+        seen = _spy_budget(monkeypatch, c)
+        c.put(0, None, size=200)
+        assert seen and c.stats.evictions == 2  # 1100 bytes -> 980
+        assert 0 in c and c.used_bytes == 960 - 60 + 200 - 2 * 60
+
+    def test_resize_shrink_publishes_budget_after_eviction(self, monkeypatch):
+        c = self._full_cache()
+        seen = _spy_budget(monkeypatch, c)
+        assert c.resize(500) == 8
+        assert len(seen) == 8
+        assert c.capacity_bytes == 500 and c.used_bytes == 480
+
+
 class TestSizingControls:
     def test_resize_shrinks(self):
         c = SamplingLRUCache(1000, k=4, seed=0)

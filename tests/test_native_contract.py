@@ -1,7 +1,8 @@
 """NAT-* rule coverage: the ctypes ↔ C prototype contract checker, the
 unbound-export and fallback-twin rules, plus direct native-kernel
-exercises (chain-walk resume and mid-chain draw-buffer refill) that the
-sanitizer CI job runs under ASan/UBSan.
+exercises (chain-walk resume, mid-chain draw-buffer refill, the rare
+exact-integer swap step and the in-place draw refill) that the sanitizer
+CI job runs under ASan/UBSan.
 
 The lint fixtures build a tiny binding module next to a C file in a temp
 directory and run :func:`lint_paths` over it, exactly how the real
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.correction import corrected_k
 from repro.devtools.analysis.nat import parse_c_exports
 from repro.devtools.lint import lint_paths
 
@@ -249,3 +251,83 @@ class TestKernelUnderSanitizers:
         d_python, _ = python.access_many(keys)
         assert np.array_equal(np.asarray(d_native), np.asarray(d_python))
         assert native.total_swaps == python.total_swaps
+
+    @staticmethod
+    def _exact_draws(rng, inv_k, block=4096, out=None):
+        """Draw blocks where about half the values are 1.0, 0.5 or 0.25.
+
+        ``u * j`` then lands on an integer at many chain steps, so the
+        kernel's rare ``y = t - 1`` branch runs (random draws reach it
+        with odds of about 1e-13 a step).  Both calling forms consume
+        ``rng`` identically, so every path sees the same blocks.
+        """
+        u = rng.random(block)
+        exact = np.array([1.0, 0.5, 0.25])[rng.integers(0, 3, block)]
+        drawn = np.where(u < 0.5, exact, (1.0 - u) ** inv_k)
+        if out is None:
+            return drawn
+        out[:] = drawn
+        return out
+
+    @pytest.mark.parametrize("block", [4096, 7])
+    def test_exact_integer_steps_match_python_and_scalar(
+        self, monkeypatch, block
+    ):
+        import repro.core.updates as updates_mod
+        import repro.stack.soa as soa_mod
+        from repro.core.krr import KRRStack
+        from repro.stack.soa import SoAKRRStack
+
+        monkeypatch.setattr(updates_mod, "backward_draw_block", self._exact_draws)
+        monkeypatch.setattr(soa_mod, "backward_draw_block", self._exact_draws)
+        monkeypatch.setattr(soa_mod, "DRAW_BLOCK", block)
+        monkeypatch.setattr(updates_mod.BackwardUpdate, "_BLOCK", block)
+        keys = np.random.default_rng(5).integers(0, 300, size=3000)
+        native = SoAKRRStack(3, rng=np.random.default_rng(11), use_native=True)
+        python = SoAKRRStack(3, rng=np.random.default_rng(11), use_native=False)
+        scalar = KRRStack(3, rng=np.random.default_rng(11))
+        d_native = np.concatenate(
+            [native.access_many(c)[0] for c in np.array_split(keys, 3)]
+        )
+        d_python = np.concatenate(
+            [python.access_many(c)[0] for c in np.array_split(keys, 3)]
+        )
+        d_scalar, _ = scalar.access_many(keys.tolist())
+        assert d_native.tolist() == d_python.tolist() == d_scalar
+        assert native.total_swaps == python.total_swaps == scalar.total_swaps
+        assert (
+            native.keys_in_stack_order()
+            == python.keys_in_stack_order()
+            == scalar.keys_in_stack_order()
+        )
+
+    @pytest.mark.parametrize(
+        "inv_k",
+        [1.0, 0.5, 2.0] + [1.0 / corrected_k(k) for k in (2, 5, 10)],
+    )
+    @pytest.mark.parametrize("block", [4096, 7])
+    def test_in_place_draw_block_matches_allocating_form(self, inv_k, block):
+        from repro.core.updates import backward_draw_block
+
+        alloc_rng = np.random.default_rng(17)
+        fresh_rng = np.random.default_rng(17)
+        inplace_rng = np.random.default_rng(17)
+        buf = np.empty(block, dtype=np.float64)
+        for _ in range(3):  # the same buffer serves every refill
+            expected = (1.0 - alloc_rng.random(block)) ** inv_k
+            fresh = backward_draw_block(fresh_rng, inv_k, block)
+            got = backward_draw_block(inplace_rng, inv_k, block, out=buf)
+            assert got is buf
+            assert fresh.tobytes() == expected.tobytes()
+            assert got.tobytes() == expected.tobytes()
+            state = alloc_rng.bit_generator.state
+            assert fresh_rng.bit_generator.state == state
+            assert inplace_rng.bit_generator.state == state
+
+    def test_in_place_draw_block_rejects_wrong_length(self):
+        from repro.core.updates import backward_draw_block
+
+        with pytest.raises(ValueError):
+            backward_draw_block(
+                np.random.default_rng(0), 0.5, 8, out=np.empty(7)
+            )

@@ -334,9 +334,8 @@ class TestSupervisorEndToEnd:
             sup.add_tenant(TenantConfig(tenant_id="t", k=4, window=2_000, seed=9))
             with pytest.raises(TenantUnavailable):
                 sup.ingest("nope", [1])
-            # Wait for a live answer: a worker still starting up would
-            # replay the batches below from the WAL, and replayed batches
-            # do not count towards snapshot_every.
+            # Wait for a live answer, so the batches below reach the
+            # worker through its queue, not a start-up WAL replay.
             deadline = time.monotonic() + 10
             while sup.query("t")["stale"]:
                 assert time.monotonic() < deadline
@@ -390,6 +389,61 @@ class TestSupervisorEndToEnd:
             health = sup.health()["tenants"]["t"]
             assert health["state"] == "restarting"
             assert health["restarts"] == 1
+        finally:
+            sup.stop(grace=5.0)
+
+    def test_restarted_worker_snapshots_replayed_batches(
+        self, tmp_path, monkeypatch
+    ):
+        import functools
+
+        from repro.service import wal as wal_mod
+
+        # One WAL segment per batch, so compaction deletes whole files.
+        monkeypatch.setattr(
+            wal_mod.TenantWAL,
+            "__init__",
+            functools.partialmethod(wal_mod.TenantWAL.__init__, segment_bytes=64),
+        )
+        registry = TenantRegistry(tmp_path)
+        sup = Supervisor(registry, snapshot_interval=60.0, restart_backoff=0.1)
+        sup.start()
+        try:
+            sup.add_tenant(TenantConfig(tenant_id="t", k=4, window=2_000, seed=3))
+            for b in range(3):
+                sup.ingest("t", [(i * 7) % 40 for i in range(b, b + 50)])
+            deadline = time.monotonic() + 10
+            while True:
+                live = sup.query("t")
+                if not live["stale"] and live["counters"]["requests_seen"] == 150:
+                    break
+                assert time.monotonic() < deadline, live
+                time.sleep(0.05)
+            root = registry.tenant_dir("t")
+            assert SnapshotStore(root / "snapshots").generations() == []
+            assert len(list((root / "wal").glob("wal-*.jsonl"))) == 3
+
+            # The next worker generation reads the interval at spawn.  It
+            # replays seqs 1-3 from the WAL, and nothing new arrives.
+            interval = 1.0
+            sup.snapshot_interval = interval
+            t = sup._tenant("t")
+            t.proc.kill()
+            t.proc.join(timeout=5)
+            killed = time.monotonic()
+            while sup.health()["tenants"]["t"]["applied_seq"] < 3:
+                assert time.monotonic() - killed < interval + 10.0
+                time.sleep(0.05)
+            loaded = SnapshotStore(root / "snapshots").load_latest()
+            assert loaded is not None and loaded[1]["applied_seq"] == 3
+            assert sup.health()["tenants"]["t"]["restarts"] == 1
+            # Compacted through seq 3: only the append target is left.
+            while len(list((root / "wal").glob("wal-*.jsonl"))) > 1:
+                assert time.monotonic() - killed < interval + 10.0
+                time.sleep(0.05)
+            assert [p.name for p in (root / "wal").glob("wal-*.jsonl")] == [
+                "wal-000000000003.jsonl"
+            ]
         finally:
             sup.stop(grace=5.0)
 
