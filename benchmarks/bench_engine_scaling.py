@@ -14,7 +14,8 @@ Measures, on a 500k-request zipf trace (50k objects, alpha=0.99):
    told apart.
 2. **MultiKRR one-pass grid** — the 12-config (K x sampling-rate) grid
    evaluated in one streaming pass, bit-identity-checked against the
-   scalar-engine `ModelSweep` oracle.
+   scalar-engine `ModelSweep` oracle.  Its swap count and wall time per
+   swap sit beside the single-config SoA figures (ungated).
 3. **ModelSweep fan-out** — the same grid run serially and with 4 workers
    over the shared-memory trace store, with a bit-identity check.
 
@@ -166,9 +167,12 @@ def bench_multi_krr(trace, seed=3):
         and a.swap_positions == b.swap_positions
         for a, b in zip(oracle, rows)
     )
+    multi_swaps = sum(row.swap_positions for row in rows)
     return {
         "n_configs": len(grid),
         "multi_s": round(multi_s, 4),
+        "multi_swaps": multi_swaps,
+        "multi_ns_per_swap": round(multi_s / max(multi_swaps, 1) * 1e9, 2),
         "scalar_oracle_s": round(oracle_s, 4),
         "speedup_vs_scalar_oracle": round(oracle_s / multi_s, 3),
         "identical_to_scalar_oracle": bool(identical),
@@ -295,7 +299,9 @@ def main(argv=None):
         "",
         f"MultiKRR one-pass {multi['n_configs']}-config grid "
         f"(K in {list(SWEEP_KS)}, R in {list(SWEEP_RATES)}):",
-        f"  one pass    {multi['multi_s']:8.2f}s",
+        f"  one pass    {multi['multi_s']:8.2f}s  "
+        f"({multi['multi_swaps']:,} swaps, "
+        f"{multi['multi_ns_per_swap']:.2f} ns/swap wall)",
         f"  scalar orc  {multi['scalar_oracle_s']:8.2f}s  "
         f"({multi['speedup_vs_scalar_oracle']:.2f}x)",
         f"  identical to scalar oracle: {multi['identical_to_scalar_oracle']}",

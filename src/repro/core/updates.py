@@ -44,7 +44,11 @@ __all__ = [
 #: stream.  The scalar strategies and the SoA engine
 #: (:mod:`repro.stack.soa`) both refill in blocks of exactly this many
 #: ``Generator.random`` draws, which is what makes their consumption
-#: patterns — and therefore their results — bit-identical.
+#: patterns — and therefore their results — bit-identical.  That
+#: identity holds on one host class (CPU SIMD level plus NumPy build):
+#: the transformed draws come from NumPy's vectorized ``power``, whose
+#: last bit differs from libm ``pow`` on other hosts' builds (see
+#: :func:`backward_draw_block`).
 DRAW_BLOCK = 4096
 
 
@@ -69,6 +73,14 @@ def backward_draw_block(
     ``(1.0 - rng.random(block)) ** inv_k``: ``**=`` takes NumPy's
     scalar-exponent fast paths (``sqrt``, ``square``, copy) exactly where
     ``u ** inv_k`` does.
+
+    Bit identity across engines and chunkings therefore holds per host
+    class (CPU SIMD level plus NumPy build), not across hosts.  On an
+    AVX-512 host with NumPy 2.4, the array ``power`` differs from libm
+    ``pow`` by one ulp on about 6% of draws, and NumPy's scalar
+    ``np.float64 ** inv_k`` differs from the array path on about 7%.  So
+    a draw computed anywhere but here, by a C ``pow``, a scalar ``**``
+    or a differently-built NumPy, breaks identity.
     """
     if out is None:
         out = np.empty(block, dtype=np.float64)

@@ -10,7 +10,9 @@ seed), every configuration's stack lives as one row of a C×U 2-D
 row feeds a :class:`~repro.stack.soa.SoAKRRStack` zero-copy), and each
 request chunk is pushed through all C stacks before the next chunk is
 touched — the chunk stays hot in cache while every configuration
-consumes it.
+consumes it.  The backward cells advance together, in one
+:func:`~repro.stack.soa.walk_backward_lanes` call per chunk that keeps
+two cells' swap chains in flight.
 
 **Seeding contract.**  Per-configuration seeds are spawned from the grid
 seed by position with :func:`spawn_seeds` — the *same* derivation
@@ -42,7 +44,7 @@ from ..mrc.builder import from_distance_histogram, from_points
 from ..mrc.curve import MissRatioCurve
 from ..sampling.spatial import SpatialSampler
 from ..stack.histogram import DistanceHistogram
-from ..stack.soa import SOA_STRATEGIES, SoAKRRStack
+from ..stack.soa import SOA_STRATEGIES, SoAKRRStack, walk_backward_lanes
 from ..workloads.trace import Trace
 from .correction import DEFAULT_EXPONENT, corrected_k
 
@@ -113,10 +115,14 @@ class GridResult:
         )
 
 
+#: A spatial sampler's identity: ``(seed, modulus, threshold)``.
+_MaskKey = Tuple[int, int, int]
+
+
 class _Cell:
     """Internal per-configuration state: stack row + histogram + counters."""
 
-    __slots__ = ("config", "seed", "stack", "hist", "mask_key", "scale", "sampled", "cold")
+    __slots__ = ("config", "seed", "stack", "hist", "mask_key", "sampled", "cold")
 
     def __init__(
         self,
@@ -124,7 +130,7 @@ class _Cell:
         seed: int,
         stack: SoAKRRStack,
         hist: DistanceHistogram,
-        mask_key: Optional[Tuple[int, int, int]],
+        mask_key: Optional[_MaskKey],
     ) -> None:
         self.config = config
         self.seed = seed
@@ -133,6 +139,36 @@ class _Cell:
         self.mask_key = mask_key
         self.sampled = 0
         self.cold = 0
+
+
+def _advance(
+    cells: List[_Cell], kids: np.ndarray, masks: Dict[_MaskKey, np.ndarray]
+) -> None:
+    """Push one chunk of dense ids through every cell.
+
+    Each distinct mask selects its cells' ids once; every backward cell
+    then advances in one :func:`~repro.stack.soa.walk_backward_lanes`
+    call, the linear cells one by one, and the histograms and counters
+    take the distances last.
+    """
+    subs: Dict[Optional[_MaskKey], np.ndarray] = {None: kids}
+    for mask_key, mask in masks.items():
+        subs[mask_key] = kids[mask]
+    cell_kids = [subs[cell.mask_key] for cell in cells]
+    backward = [
+        c for c, cell in enumerate(cells) if cell.stack.strategy_name == "backward"
+    ]
+    walked = walk_backward_lanes(
+        [cells[c].stack for c in backward], [cell_kids[c] for c in backward]
+    )
+    distances = dict(zip(backward, walked))
+    for c, cell in enumerate(cells):
+        if c not in distances:
+            distances[c] = cell.stack.access_many_interned(cell_kids[c])
+    for c, cell in enumerate(cells):
+        cell.hist.record_many(distances[c])
+        cell.sampled += int(cell_kids[c].shape[0])
+        cell.cold += int(np.count_nonzero(distances[c] == -1))
 
 
 class MultiKRR:
@@ -264,71 +300,36 @@ class MultiKRR:
         n = int(keys.shape[0])
         if plan is not None:
             kids = plan.key_ids
-            key_table = plan.unique_keys
+            n_unique = plan.n_unique_keys
         else:
             key_table, kids = factorize_keys(keys)
+            n_unique = int(key_table.shape[0])
         kids = np.ascontiguousarray(kids, dtype=np.int64)
-        key_table = np.asarray(key_table, dtype=np.int64)
-        n_unique = int(key_table.shape[0])
-
-        seeds = self.config_seeds()
-        n_cells = len(self.configs)
 
         # The grid-wide SoA state block: one slot row + one position row
         # per cell.  Rows of a C-contiguous 2-D array are themselves
         # contiguous, so each stack operates on its row zero-copy.
         width = max(1, n_unique)
-        stack_block = np.zeros((n_cells, width), dtype=np.int64)
-        pos_block = np.empty((n_cells, width), dtype=np.int64)
-
-        masks: Dict[Tuple[int, int, int], np.ndarray] = {}
-        cells: List[_Cell] = []
-        for c, cfg in enumerate(self.configs):
-            rate = getattr(cfg, "sampling_rate", None)
-            mask_key: Optional[Tuple[int, int, int]] = None
-            scale = 1.0
-            if rate is not None:
-                sampler = SpatialSampler(float(rate))
-                scale = sampler.scale
-                mask_key = (sampler.seed, sampler.modulus, sampler.threshold)
-                if mask_key not in masks:
-                    if plan is not None:
-                        masks[mask_key] = plan.sample_mask(
-                            sampler.threshold, sampler.modulus, sampler.seed
-                        )
-                    else:
-                        masks[mask_key] = sampler.mask(keys)
-            effective_k = (
-                corrected_k(int(cfg.k), DEFAULT_EXPONENT)  # type: ignore[attr-defined]
-                if getattr(cfg, "correction", True)
-                else float(int(cfg.k))  # type: ignore[attr-defined]
+        stack_block = np.zeros((len(self.configs), width), dtype=np.int64)
+        pos_block = np.empty((len(self.configs), width), dtype=np.int64)
+        cells, samplers = self._cells(use_native, stack_block, pos_block)
+        masks = {
+            mask_key: (
+                plan.sample_mask(sampler.threshold, sampler.modulus, sampler.seed)
+                if plan is not None
+                else sampler.mask(keys)
             )
-            stack = SoAKRRStack(
-                effective_k,
-                strategy=getattr(cfg, "strategy", "backward"),
-                rng=seeds[c],
-                use_native=use_native,
-                stack_buffer=stack_block[c],
-                pos_buffer=pos_block[c],
-            )
-            cells.append(
-                _Cell(cfg, seeds[c], stack, DistanceHistogram(scale=scale), mask_key)
-            )
+            for mask_key, sampler in samplers.items()
+        }
 
         # One pass: each chunk of dense ids visits every cell while hot.
         for lo in range(0, n, chunk_size):
             hi = min(n, lo + chunk_size)
-            kids_chunk = kids[lo:hi]
-            for cell in cells:
-                if cell.mask_key is not None:
-                    sub = kids_chunk[masks[cell.mask_key][lo:hi]]
-                else:
-                    sub = kids_chunk
-                distances = cell.stack.access_many_ids(sub, key_table)
-                cell.hist.record_many(distances)
-                cell.sampled += int(sub.shape[0])
-                cell.cold += int(np.count_nonzero(distances == -1))
-
+            _advance(
+                cells,
+                kids[lo:hi],
+                {mask_key: mask[lo:hi] for mask_key, mask in masks.items()},
+            )
         return self._collect_results(cells, n, max_size)
 
     def _run_stream(
@@ -341,54 +342,61 @@ class MultiKRR:
         from ..engine.plan import StreamingTracePlan
 
         splan = StreamingTracePlan()
+        # Growable stacks: a stream's distinct-key count is unknown up
+        # front, so the fixed grid-wide 2-D state block does not apply.
+        cells, samplers = self._cells(use_native)
+        for chunk in stream:
+            splan.observe(chunk)
+            kids = splan.intern(chunk.keys)
+            masks = {
+                mask_key: splan.chunk_sample_mask(
+                    chunk.keys, sampler.threshold, sampler.modulus, sampler.seed
+                )
+                for mask_key, sampler in samplers.items()
+            }
+            _advance(cells, kids, masks)
+        return self._collect_results(cells, splan.n_requests, max_size)
+
+    def _cells(
+        self,
+        use_native: Optional[bool],
+        stack_block: Optional[np.ndarray] = None,
+        pos_block: Optional[np.ndarray] = None,
+    ) -> Tuple[List["_Cell"], Dict[_MaskKey, SpatialSampler]]:
+        """One cell per configuration, plus one sampler per distinct mask.
+
+        With ``stack_block``/``pos_block`` each cell's stack runs on its
+        row of the grid-wide state block; without them the stacks grow.
+        """
         seeds = self.config_seeds()
+        samplers: Dict[_MaskKey, SpatialSampler] = {}
         cells: List[_Cell] = []
         for c, cfg in enumerate(self.configs):
             rate = getattr(cfg, "sampling_rate", None)
-            mask_key: Optional[Tuple[int, int, int]] = None
+            mask_key: Optional[_MaskKey] = None
             scale = 1.0
             if rate is not None:
                 sampler = SpatialSampler(float(rate))
                 scale = sampler.scale
                 mask_key = (sampler.seed, sampler.modulus, sampler.threshold)
+                samplers.setdefault(mask_key, sampler)
             effective_k = (
                 corrected_k(int(cfg.k), DEFAULT_EXPONENT)  # type: ignore[attr-defined]
                 if getattr(cfg, "correction", True)
                 else float(int(cfg.k))  # type: ignore[attr-defined]
             )
-            # Growable stacks: a stream's distinct-key count is unknown up
-            # front, so the fixed grid-wide 2-D state block does not apply.
             stack = SoAKRRStack(
                 effective_k,
                 strategy=getattr(cfg, "strategy", "backward"),
                 rng=seeds[c],
                 use_native=use_native,
+                stack_buffer=None if stack_block is None else stack_block[c],
+                pos_buffer=None if pos_block is None else pos_block[c],
             )
             cells.append(
                 _Cell(cfg, seeds[c], stack, DistanceHistogram(scale=scale), mask_key)
             )
-
-        for chunk in stream:
-            splan.observe(chunk)
-            kids = splan.intern(chunk.keys)
-            masks: Dict[Tuple[int, int, int], np.ndarray] = {}
-            for cell in cells:
-                if cell.mask_key is not None:
-                    mask = masks.get(cell.mask_key)
-                    if mask is None:
-                        mseed, modulus, threshold = cell.mask_key
-                        mask = splan.chunk_sample_mask(
-                            chunk.keys, threshold, modulus, mseed
-                        )
-                        masks[cell.mask_key] = mask
-                    sub = kids[mask]
-                else:
-                    sub = kids
-                distances = cell.stack.access_many_interned(sub)
-                cell.hist.record_many(distances)
-                cell.sampled += int(sub.shape[0])
-                cell.cold += int(np.count_nonzero(distances == -1))
-        return self._collect_results(cells, splan.n_requests, max_size)
+        return cells, samplers
 
     def _collect_results(
         self, cells: List[_Cell], n: int, max_size: Optional[int]

@@ -224,8 +224,10 @@ class StreamingTracePlan:
     memory :class:`~repro.workloads.stream.TraceStream` the whole columns
     never exist, so the same preparation is computed *incrementally*:
 
-    * :meth:`intern` — dense key ids assigned in first-seen order by a
-      persistent dict, one vectorized unique-pass per chunk.  Id *values*
+    * :meth:`intern` — dense key ids assigned in first-seen order (new
+      keys of a chunk in ascending key order), kept as a sorted key array
+      beside its id array, so a chunk is one unique-pass, one
+      ``searchsorted`` and one merge, with no per-key Python.  Id *values*
       differ from :attr:`TracePlan.key_ids` (sorted-table order) but the
       key<->id bijection is equivalent, which is all the SoA stacks need
       (distances depend on stack positions, not id values — see
@@ -241,7 +243,9 @@ class StreamingTracePlan:
     """
 
     def __init__(self) -> None:
-        self._ids: Dict[int, int] = {}
+        #: Every key seen so far, ascending, and its dense id.
+        self._keys = np.empty(0, dtype=np.int64)
+        self._key_ids = np.empty(0, dtype=np.int64)
         self.n_requests = 0
         self.n_chunks = 0
         self.fingerprint = 0
@@ -250,7 +254,7 @@ class StreamingTracePlan:
 
     @property
     def n_unique_keys(self) -> int:
-        return len(self._ids)
+        return int(self._keys.shape[0])
 
     def observe(self, chunk: Trace) -> None:
         """Fold one chunk into the running counters and fingerprint."""
@@ -262,15 +266,25 @@ class StreamingTracePlan:
 
     def intern(self, keys: np.ndarray) -> np.ndarray:
         """Dense first-seen ids for one chunk's key column (stateful)."""
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        uniq, inverse = np.unique(
+            np.asarray(keys, dtype=np.int64), return_inverse=True
+        )
+        seen = self._keys
+        at = np.searchsorted(seen, uniq)
+        known = at < seen.shape[0]
+        known[known] = seen[at[known]] == uniq[known]
         lut = np.empty(uniq.shape[0], dtype=np.int64)
-        ids = self._ids
-        for j, key in enumerate(uniq.tolist()):
-            kid = ids.get(key)
-            if kid is None:
-                kid = len(ids)
-                ids[key] = kid
-            lut[j] = kid
+        lut[known] = self._key_ids[at[known]]
+        # New keys take the next ids in ascending key order, and merge
+        # into the sorted arrays at their searchsorted positions.
+        fresh = ~known
+        new_keys = uniq[fresh]
+        n_seen = seen.shape[0]
+        new_ids = np.arange(n_seen, n_seen + new_keys.shape[0], dtype=np.int64)
+        lut[fresh] = new_ids
+        if new_keys.shape[0]:
+            self._keys = np.insert(seen, at[fresh], new_keys)
+            self._key_ids = np.insert(self._key_ids, at[fresh], new_ids)
         return np.ascontiguousarray(lut[inverse], dtype=np.int64)
 
     def chunk_hashes(self, keys: np.ndarray, seed: int = 0) -> np.ndarray:

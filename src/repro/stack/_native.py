@@ -5,30 +5,35 @@ each step's slot is ``ceil(draw * j) - 1`` of the previous one — so NumPy
 cannot vectorize it and the CPython interpreter caps the streaming KRR
 path at a few hundred nanoseconds per chain step.  The kernel in
 ``_soa_kernel.c`` runs the identical arithmetic at C speed over the flat
-SoA arrays (10x+ end to end; see docs/PERFORMANCE.md).
+SoA arrays (10x+ end to end; see docs/PERFORMANCE.md).  Its one export,
+``krr_backward_lanes``, walks several stacks ("lanes") in one call and
+keeps two of their swap chains in flight, so a grid's cells overlap
+their chain latencies; a single stack is a one-lane call.
 
 A ctypes call is cheap only when its arguments are plain ints: reading
-``ndarray.ctypes.data`` builds a helper object per array, so a call that
-looks up six addresses costs 10-15 us on a 2-vCPU Xeon VM against 1-2 us
-for a call with the addresses already resolved.
-:meth:`BackwardKernel.bind` therefore resolves them once per chunk and
-returns a zero-argument call, which each draw-block refill (one every
-4096 swap steps) re-enters.  The arrays must stay where they are while
-the bound call is in use: the SoA stack grows its arrays before binding
-and fills its one draw buffer in place.
+``ndarray.ctypes.data`` builds a helper object per array (1-2 us each
+on a 2-vCPU Xeon VM).  The caller therefore writes every lane's array
+addresses into one ``int64`` descriptor table once per chunk, and
+:meth:`BackwardKernel.bind` resolves the table and the control words
+into a zero-argument call, which each draw-block refill (one every
+4096 swap steps of a lane) re-enters.  The arrays must stay where they
+are while the bound call is in use: the SoA stacks grow their arrays
+before the table is built and fill their draw buffers in place.
 
 This module compiles that one C file with the system compiler the first
 time it is needed and binds it through :mod:`ctypes`.  There is no build
 step, no packaging change and no new dependency: if no compiler is
-available (or ``REPRO_NATIVE=0`` disables the attempt), callers fall back
-to the pure-Python SoA path, which consumes the same draws and produces
-bit-identical results — the kernel is a throughput lever, never a
-semantics change.
+available, the compiler fails or hangs, or ``REPRO_NATIVE=0`` disables
+the attempt, callers fall back to the pure-Python SoA path, which
+consumes the same draws and produces bit-identical results — the kernel
+is a throughput lever, never a semantics change.  A failed build is
+remembered for the life of the process, so it is tried once.
 
 The shared object is cached under a per-user directory keyed by the
 SHA-256 of the C source, so editing the kernel invalidates stale builds
 and concurrent processes converge on one artifact (build to a unique
-temp name, then atomic ``os.replace``).
+temp name, then atomic ``os.replace``; the temp file is removed on any
+failure).
 """
 
 from __future__ import annotations
@@ -105,7 +110,10 @@ def _build_library(source: Path) -> Optional[Path]:
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(suffix=".so", dir=str(cache))
         os.close(fd)
-        cmd = [cc, "-O3", "-shared", "-fPIC", *extra, "-o", tmp_name, str(source)]
+    except OSError:
+        return None
+    cmd = [cc, "-O3", "-shared", "-fPIC", *extra, "-o", tmp_name, str(source)]
+    try:
         proc = subprocess.run(
             cmd,
             stdout=subprocess.PIPE,
@@ -113,71 +121,56 @@ def _build_library(source: Path) -> Optional[Path]:
             timeout=120,
             check=False,
         )
-        if proc.returncode != 0:
-            os.unlink(tmp_name)
-            return None
-        os.replace(tmp_name, lib_path)  # atomic: racers converge
-        return lib_path
+        if proc.returncode == 0:
+            os.replace(tmp_name, lib_path)  # atomic: racers converge
+            return lib_path
+    except (OSError, subprocess.SubprocessError):  # incl. TimeoutExpired
+        pass
+    try:
+        os.unlink(tmp_name)
     except OSError:
-        return None
+        pass
+    return None
 
 
 class BackwardKernel:
-    """Bound native ``krr_backward_chunk`` (see ``_soa_kernel.c``)."""
+    """Bound native ``krr_backward_lanes`` (see ``_soa_kernel.c``)."""
 
     __slots__ = ("_fn",)
 
     def __init__(self, library: ctypes.CDLL) -> None:
-        fn = library.krr_backward_chunk
+        fn = library.krr_backward_lanes
         fn.restype = ctypes.c_int64
         fn.argtypes = [
-            ctypes.c_void_p,  # kids
-            ctypes.c_int64,   # n
-            ctypes.c_void_p,  # stack
-            ctypes.c_void_p,  # pos
-            ctypes.c_void_p,  # buf
-            ctypes.c_int64,   # block
-            ctypes.c_void_p,  # distances
-            ctypes.c_void_p,  # state
+            ctypes.c_int64,   # n_lanes
+            ctypes.c_void_p,  # desc
+            ctypes.c_void_p,  # ctl
         ]
         self._fn = fn
 
-    def bind(
-        self,
-        kids: np.ndarray,
-        stack: np.ndarray,
-        pos: np.ndarray,
-        buf: np.ndarray,
-        distances: np.ndarray,
-        state: np.ndarray,
-    ) -> Callable[[], int]:
-        """The kernel call over these arrays, with their addresses resolved.
+    def bind(self, desc: np.ndarray, ctl: np.ndarray) -> Callable[[], int]:
+        """The kernel call over these lanes, with its addresses resolved.
 
-        Each call of the result returns 1 when the chunk is done and 0
-        when ``buf`` must be refilled (in place) before calling again.
-        All arrays must be C-contiguous (``int64`` except the ``float64``
-        draw buffer) and must not move or be freed while the call is in
-        use; the caller owns buffer refills and state resets.
+        ``desc`` is the C-contiguous ``(n_lanes, 8)`` ``int64`` lane table
+        and ``ctl`` the three ``int64`` control words, laid out as the
+        kernel header describes.  Each call of the result returns -1 when
+        every lane is done, or the index of a lane whose draw buffer must
+        be refilled (in place, with that lane's ``state[2]`` reset to 0)
+        before calling again.  Neither these arrays nor any array the
+        table points at may move or be freed while the call is in use.
         """
         return functools.partial(
-            self._fn,
-            kids.ctypes.data,
-            kids.shape[0],
-            stack.ctypes.data,
-            pos.ctypes.data,
-            buf.ctypes.data,
-            buf.shape[0],
-            distances.ctypes.data,
-            state.ctypes.data,
+            self._fn, desc.shape[0], desc.ctypes.data, ctl.ctypes.data
         )
 
 
 def load_backward_kernel() -> Optional[BackwardKernel]:
     """The process-wide kernel instance, or None if unavailable.
 
-    Compilation is attempted once per process; failures (no compiler,
-    sandboxed tmpdir, ``REPRO_NATIVE=0``) are cached as None so the SoA
-    stack silently stays on its pure-Python fallback.
+    Compilation is attempted once per process; failures (no compiler, a
+    compiler that fails or times out, sandboxed tmpdir, ``REPRO_NATIVE=0``)
+    are cached as None so the SoA stack silently stays on its pure-Python
+    fallback.
     """
     global _KERNEL
     if _KERNEL is _UNSET:

@@ -21,6 +21,10 @@ come from the shared :func:`~repro.core.updates.survival_table`, and the
 data-dependent chain walk runs inside the compiled kernel from
 :mod:`repro.stack._native` when a C compiler is available (pure-Python
 fallback otherwise — same draws, same results, less speed).
+:func:`walk_backward_lanes` walks several backward stacks over their own
+chunks in one kernel call, two swap chains at a time; that is how
+:class:`~repro.core.vkrr.MultiKRR` advances a grid, and a single stack's
+chunk is the one-lane case of the same call.
 
 **Seeding contract.**  For any ``(k, strategy, seed)`` this stack
 consumes the generator's stream in exactly the refill pattern the scalar
@@ -28,9 +32,16 @@ strategies use (blocks of :data:`~repro.core.updates.DRAW_BLOCK` draws,
 transformed by the shared helpers) and applies the identical update
 arithmetic, so distances, final stack order and swap counters are
 bit-identical to :class:`~repro.core.krr.KRRStack` — property-tested in
-``tests/test_soa_engine.py``.  Supported strategies: ``"backward"``
-(chain walk) and ``"linear"`` (vectorized survival sweep); ``"topdown"``
-has no array-friendly formulation and stays scalar-only.
+``tests/test_soa_engine.py``.  Each stack refills only its own buffer
+from its own generator, so walking it beside other lanes changes
+nothing.  Bit identity holds per host class (CPU SIMD level plus NumPy
+build), not across hosts: NumPy's vectorized ``u ** (1/K)`` differs
+from libm ``pow``, and from NumPy's own scalar ``**``, in the last bit
+of a few percent of draws, so every draw must come from
+:func:`~repro.core.updates.backward_draw_block` (see
+docs/PERFORMANCE.md).  Supported strategies: ``"backward"`` (chain walk)
+and ``"linear"`` (vectorized survival sweep); ``"topdown"`` has no
+array-friendly formulation and stays scalar-only.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ from ._native import BackwardKernel, load_backward_kernel
 __all__ = [
     "SOA_STRATEGIES",
     "SoAKRRStack",
+    "walk_backward_lanes",
 ]
 
 
@@ -389,28 +401,7 @@ class SoAKRRStack:
     # ------------------------------------------------------------------
     def _walk_backward_native(self, kids: np.ndarray) -> np.ndarray:
         assert self._kernel is not None
-        distances = np.empty(kids.shape[0], dtype=np.int64)
-        state = np.zeros(_STATE_LEN, dtype=np.int64)
-        state[1] = self._n
-        state[2] = self._bpos
-        state[4] = self.total_swaps
-        state[5] = -1
-        # _ensure_capacity already ran, so no array moves during the
-        # chunk: bind the addresses once and refill the buffer in place.
-        buf = self._buf
-        run = self._kernel.bind(
-            kids, self._stack, self._pos, buf, distances, state
-        )
-        rng = self._rng
-        inv_k = self._inv_k
-        block = buf.shape[0]
-        while not run():
-            backward_draw_block(rng, inv_k, block, out=buf)
-            state[2] = 0
-        self._n = int(state[1])
-        self._bpos = int(state[2])
-        self.total_swaps = int(state[4])
-        return distances
+        return _walk_lanes(self._kernel, [self], [kids])[0]
 
     def _walk_backward_python(self, kids: np.ndarray) -> np.ndarray:
         """Pure-Python mirror of the native kernel (same draws, same state)."""
@@ -532,3 +523,107 @@ class SoAKRRStack:
         self._n = n_res
         self.total_swaps += swaps
         return distances
+
+
+def walk_backward_lanes(
+    stacks: Sequence[SoAKRRStack], kids: Sequence[np.ndarray]
+) -> List[np.ndarray]:
+    """Walk each backward stack over its own chunk of dense ids at once.
+
+    ``kids[i]`` feeds ``stacks[i]`` exactly as
+    :meth:`SoAKRRStack.access_many_interned` would, and the returned
+    ``distances[i]`` are what that call returns: every stack keeps its
+    own draws, refill order and counters, so the result does not depend
+    on which stacks share the call or in what order they are listed.
+    The stacks with a kernel go through one native call that keeps two
+    swap chains in flight; the others take their pure-Python walk.
+    """
+    if len(stacks) != len(kids):
+        raise ValueError(f"{len(stacks)} stacks but {len(kids)} kid arrays")
+    if any(stack.strategy_name != "backward" for stack in stacks):
+        raise ValueError("walk_backward_lanes walks backward stacks only")
+    if len({id(stack) for stack in stacks}) != len(stacks):
+        # Two lanes on one stack would walk the same arrays at once.
+        raise ValueError("walk_backward_lanes got the same stack twice")
+    kids = [np.ascontiguousarray(ids, dtype=np.int64) for ids in kids]
+    for stack, ids in zip(stacks, kids):
+        if ids.shape[0]:
+            stack._ensure_capacity(int(ids.max()), ids.shape[0])
+    native = [i for i, stack in enumerate(stacks) if stack._kernel is not None]
+    walked: Dict[int, np.ndarray] = {}
+    if native:
+        kernel = stacks[native[0]]._kernel
+        assert kernel is not None
+        lanes = _walk_lanes(
+            kernel, [stacks[i] for i in native], [kids[i] for i in native]
+        )
+        walked = dict(zip(native, lanes))
+    out: List[np.ndarray] = []
+    for i, (stack, ids) in enumerate(zip(stacks, kids)):
+        distances = walked.get(i)
+        if distances is None:
+            distances = stack._walk_backward_python(ids)
+        stack.updates += int(ids.shape[0])
+        out.append(distances)
+    return out
+
+
+def _walk_lanes(
+    kernel: BackwardKernel,
+    stacks: Sequence[SoAKRRStack],
+    kids: Sequence[np.ndarray],
+) -> List[np.ndarray]:
+    """One native call over every (stack, kids) lane; returns distances.
+
+    Every stack's ``_ensure_capacity`` must already cover its kids, so no
+    array moves while the call is bound.  Lanes go to the kernel's two
+    chain slots heaviest first (``K' x requests``): the longest lane then
+    starts at once and the lighter ones pass through the other slot
+    beside it, instead of one heavy lane finishing alone at the end.
+    """
+    order = sorted(
+        range(len(stacks)), key=lambda i: -stacks[i].k * kids[i].shape[0]
+    )
+    starts = np.cumsum([0] + [kids[i].shape[0] for i in order]).tolist()
+    flat = np.empty(starts[-1], dtype=np.int64)  # every lane's distances
+    states = np.array(
+        [
+            [0, stacks[i]._n, stacks[i]._bpos, 0, stacks[i].total_swaps, -1]
+            for i in order
+        ],
+        dtype=np.int64,
+    )
+    flat_at = flat.ctypes.data
+    state_at = states.ctypes.data
+    # One row per lane: kids, n, stack, pos, buf, block, distances, state.
+    desc = np.array(
+        [
+            [
+                kids[i].ctypes.data,
+                kids[i].shape[0],
+                stacks[i]._stack.ctypes.data,
+                stacks[i]._pos.ctypes.data,
+                stacks[i]._buf.ctypes.data,
+                stacks[i]._buf.shape[0],
+                flat_at + 8 * starts[row],
+                state_at + 8 * _STATE_LEN * row,
+            ]
+            for row, i in enumerate(order)
+        ],
+        dtype=np.int64,
+    )
+    ctl = np.array([-1, -1, 0], dtype=np.int64)
+    run = kernel.bind(desc, ctl)
+    lane = run()
+    while lane >= 0:
+        stack = stacks[order[lane]]
+        buf = stack._buf
+        backward_draw_block(stack._rng, stack._inv_k, buf.shape[0], out=buf)
+        states[lane, 2] = 0
+        lane = run()
+    distances: Dict[int, np.ndarray] = {}
+    for row, (i, state) in enumerate(zip(order, states.tolist())):
+        stack = stacks[i]
+        stack._n, stack._bpos, stack.total_swaps = state[1], state[2], state[4]
+        distances[i] = flat[starts[row] : starts[row + 1]]
+    return [distances[i] for i in range(len(stacks))]

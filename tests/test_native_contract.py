@@ -1,8 +1,9 @@
 """NAT-* rule coverage: the ctypes ↔ C prototype contract checker, the
-unbound-export and fallback-twin rules, plus direct native-kernel
-exercises (chain-walk resume, mid-chain draw-buffer refill, the rare
-exact-integer swap step and the in-place draw refill) that the sanitizer
-CI job runs under ASan/UBSan.
+unbound-export and fallback-twin rules, the build's fallback when the
+compiler hangs, plus direct native-kernel exercises (chain-walk resume,
+mid-chain draw-buffer refill, the rare exact-integer swap step, the
+in-place draw refill and the multi-lane walk) that the sanitizer CI job
+runs under ASan/UBSan.
 
 The lint fixtures build a tiny binding module next to a C file in a temp
 directory and run :func:`lint_paths` over it, exactly how the real
@@ -11,6 +12,7 @@ directory and run :func:`lint_paths` over it, exactly how the real
 
 from __future__ import annotations
 
+import subprocess
 import textwrap
 from pathlib import Path
 
@@ -87,9 +89,10 @@ class TestCParser:
     def test_real_kernel_parses(self):
         text = (REPO / "src/repro/stack/_soa_kernel.c").read_text()
         exports = parse_c_exports(text)
-        assert [e.name for e in exports] == ["krr_backward_chunk"]
+        assert [e.name for e in exports] == ["krr_backward_lanes"]
         (export,) = exports
-        assert len(export.params) == 8
+        assert len(export.params) == 3
+        assert [p.is_pointer for p in export.params] == [False, True, True]
         assert export.ret_kind == "i64"
 
 
@@ -193,6 +196,37 @@ class TestRealBindingIsClean:
     def test_stack_native_module_has_no_nat_findings(self):
         findings = lint_paths([REPO / "src" / "repro" / "stack"])
         assert nat_rules(findings) == set()
+
+
+# ----------------------------------------------------------------------
+# Build failures fall back to the Python walk
+# ----------------------------------------------------------------------
+
+
+class TestBuildFailure:
+    def test_hung_compiler_falls_back_once_and_leaves_nothing(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.stack._native as native_mod
+        from repro.stack.soa import SoAKRRStack
+
+        compiles = []
+
+        def hung_compiler(cmd, **kwargs):
+            compiles.append(cmd)
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout", 120))
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        monkeypatch.setattr(native_mod, "_compiler", lambda: "cc")
+        monkeypatch.setattr(native_mod.subprocess, "run", hung_compiler)
+        monkeypatch.setattr(native_mod, "_KERNEL", native_mod._UNSET)
+
+        assert native_mod.load_backward_kernel() is None
+        assert not SoAKRRStack(5, rng=0).uses_native_kernel
+        assert native_mod.load_backward_kernel() is None
+        assert len(compiles) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -331,3 +365,61 @@ class TestKernelUnderSanitizers:
             backward_draw_block(
                 np.random.default_rng(0), 0.5, 8, out=np.empty(7)
             )
+
+    @staticmethod
+    def _lane_streams():
+        """Uneven ``(K', kids)`` lanes: K' from 1 to 25.1, a full and a
+        sampled stream, an empty lane and an all-cold lane."""
+        from repro.sampling.spatial import SpatialSampler
+
+        full = np.random.default_rng(5).integers(0, 300, size=3000)
+        sampled = full[SpatialSampler(0.3).mask(full)]
+        cold = np.random.default_rng(6).permutation(2000)[:900]
+        empty = np.empty(0, dtype=np.int64)
+        return [
+            (1.0, full),
+            (corrected_k(2), sampled),
+            (corrected_k(10), full),
+            (5.0, empty),
+            (corrected_k(5), cold),
+            (2.0, sampled),
+        ]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("block", [5, 7])
+    def test_lanes_walk_matches_python_and_scalar(self, monkeypatch, block, exact):
+        """Every lane runs dry mid-chain in both chain slots; each must
+        equal its own Python walk and the scalar stack on distances,
+        ``total_swaps`` and stack order, with random or exact draws."""
+        import repro.core.updates as updates_mod
+        import repro.stack.soa as soa_mod
+        from repro.core.krr import KRRStack
+        from repro.stack.soa import SoAKRRStack, walk_backward_lanes
+
+        if exact:
+            for mod in (updates_mod, soa_mod):
+                monkeypatch.setattr(mod, "backward_draw_block", self._exact_draws)
+        monkeypatch.setattr(soa_mod, "DRAW_BLOCK", block)
+        monkeypatch.setattr(updates_mod.BackwardUpdate, "_BLOCK", block)
+        lanes = self._lane_streams()
+        seeds = range(40, 40 + len(lanes))
+        ks = [k for k, _ in lanes]
+        native = [SoAKRRStack(k, rng=s, use_native=True) for k, s in zip(ks, seeds)]
+        python = [SoAKRRStack(k, rng=s, use_native=False) for k, s in zip(ks, seeds)]
+        walked = [[] for _ in lanes]
+        for part in range(3):
+            chunks = [np.array_split(kids, 3)[part] for _, kids in lanes]
+            for got, d in zip(walked, walk_backward_lanes(native, chunks)):
+                got.append(d)
+            for stack, chunk, got in zip(python, chunks, walked):
+                d = stack.access_many_interned(chunk)
+                assert got[-1].tolist() == d.tolist()
+        for (k, kids), s, nat, py, got in zip(lanes, seeds, native, python, walked):
+            scalar = KRRStack(k, rng=np.random.default_rng(s))
+            d_scalar, _ = scalar.access_many(kids.tolist())
+            assert np.concatenate(got).tolist() == d_scalar
+            assert nat.total_swaps == py.total_swaps == scalar.total_swaps
+            assert nat.updates == py.updates == kids.shape[0]
+            order = scalar.keys_in_stack_order()
+            assert nat._stack[: len(nat)].tolist() == order
+            assert py._stack[: len(py)].tolist() == order

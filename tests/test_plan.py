@@ -2,19 +2,22 @@
 
 Covers: plan-cache identity and eviction, shared-memory publication and
 worker-side rehydration, mask equivalence against the streaming samplers,
-the plan-aware fast paths in KRRModel / SHARDS, and the ModelSweep task
+the plan-aware fast paths in KRRModel / SHARDS, the ModelSweep task
 batching that must stay bit-identical for any chunk size and worker
-count.
+count, and the streaming plan's chunk interning.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.shards import FixedSizeShards, Shards
 from repro.core.model import KRRModel
 from repro.engine import (
     ModelSweep,
     SharedTraceStore,
+    StreamingTracePlan,
     TracePlan,
     clear_plan_cache,
     trace_fingerprint,
@@ -282,3 +285,38 @@ class TestSweepChunking:
         assert resolve("auto", 3, 4) == 3
         monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 1)
         assert resolve("auto", 12, 4) == 12
+
+
+def _dict_intern(ids: dict, keys: np.ndarray) -> np.ndarray:
+    """Reference interning: a persistent dict, new keys in ascending order."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    lut = np.empty(uniq.shape[0], dtype=np.int64)
+    for j, key in enumerate(uniq.tolist()):
+        lut[j] = ids.setdefault(key, len(ids))
+    return lut[inverse]
+
+
+_INT64 = np.iinfo(np.int64)
+_chunk_keys = st.lists(
+    st.one_of(
+        st.integers(min_value=-8, max_value=24),
+        st.sampled_from([_INT64.min, _INT64.min + 1, _INT64.max - 1, _INT64.max]),
+    ),
+    max_size=40,
+)
+
+
+class TestStreamingIntern:
+    @settings(max_examples=60, deadline=None)
+    @given(chunks=st.lists(_chunk_keys, max_size=8))
+    def test_matches_dict_reference(self, chunks):
+        """Repeated, negative, int64-edge keys and empty chunks: the same
+        id for every request and the same distinct-key count as a dict."""
+        plan = StreamingTracePlan()
+        ids: dict = {}
+        for chunk in chunks:
+            keys = np.asarray(chunk, dtype=np.int64)
+            got = plan.intern(keys)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert got.tolist() == _dict_intern(ids, keys).tolist()
+            assert plan.n_unique_keys == len(ids)

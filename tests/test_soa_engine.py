@@ -13,12 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.correction import corrected_k
+from repro.core.eviction import expected_swap_positions
 from repro.core.krr import KRRStack
 from repro.core.model import KRRModel
 from repro.engine.plan import TracePlan, clear_plan_cache
+from repro.kernels.prep import factorize_keys
+from repro.sampling.spatial import SpatialSampler
 from repro.stack._native import native_kernel_active
-from repro.stack.soa import SOA_STRATEGIES, SoAKRRStack
+from repro.stack.soa import SOA_STRATEGIES, SoAKRRStack, walk_backward_lanes
 from repro.workloads.trace import Trace
+from repro.workloads.zipf import zipf_trace_keys
 
 
 def scalar_reference(keys, k, strategy, seed):
@@ -90,6 +95,53 @@ class TestDrawForDrawParity:
         assert stack.total_swaps == ref.total_swaps
 
 
+class TestSwapCountOracle:
+    """The walk's swap count against the paper's expectation, not against
+    another implementation: a mistake every engine shares fails here.
+
+    Position ``i < phi`` joins a backward update's swap set with
+    probability ``p_i = 1 - ((i-1)/i)^K'`` independently of the others,
+    and ``phi`` itself always swaps, so an update at pre-update position
+    ``phi`` swaps ``1 + expected_swap_positions(phi, K')`` slots on
+    average, with variance ``sum p_i (1 - p_i)``.
+    """
+
+    def test_each_lane_of_a_small_grid(self):
+        keys = zipf_trace_keys(20_000, 40_000, 0.99, rng=3)
+        _, kids = factorize_keys(keys)
+        sampled = kids[SpatialSampler(0.1).mask(keys)]
+        lanes = [
+            (corrected_k(k), stream)
+            for k in (1, 2, 5, 10)
+            for stream in (kids, sampled)
+        ]
+        stacks = [SoAKRRStack(k, rng=7 + c) for c, (k, _) in enumerate(lanes)]
+        distances = [[] for _ in lanes]
+        for part in range(3):
+            chunks = [np.array_split(stream, 3)[part] for _, stream in lanes]
+            for got, d in zip(distances, walk_backward_lanes(stacks, chunks)):
+                got.append(d)
+        for (k, stream), stack, parts in zip(lanes, stacks, distances):
+            d = np.concatenate(parts)
+            assert d.shape == stream.shape and stack.updates == stream.shape[0]
+            # phi before the update: the distance of a hit; the k-th cold
+            # access lands at the bottom of a k-deep stack.
+            phi = d.copy()
+            cold = d == -1
+            phi[cold] = np.arange(1, int(cold.sum()) + 1)
+            i = np.arange(1, int(phi.max()), dtype=np.float64)
+            p = 1.0 - ((i - 1) / i) ** k
+            mean = np.concatenate(([0.0], np.cumsum(p)))  # mean[phi-1] = E(phi)
+            var = np.concatenate(([0.0], np.cumsum(p * (1.0 - p))))
+            for at in (1, 2, 10, int(phi.max())):
+                assert mean[at - 1] == pytest.approx(
+                    expected_swap_positions(at, k), rel=1e-12, abs=1e-12
+                )
+            expected = phi.shape[0] + mean[phi - 1].sum()
+            sigma = np.sqrt(var[phi - 1].sum())
+            assert abs(stack.total_swaps - expected) <= 5 * sigma, (k, stream.shape)
+
+
 class TestStackApi:
     def test_basic_accessors(self):
         s = SoAKRRStack(4, rng=0)
@@ -150,6 +202,17 @@ class TestStackApi:
                 np.asarray([0], dtype=np.int64),
                 np.asarray([10, 20], dtype=np.int64),
             )
+
+    def test_lanes_walk_rejects_bad_lanes(self):
+        kids = np.asarray([1, 2, 1], dtype=np.int64)
+        s = SoAKRRStack(4, rng=0)
+        with pytest.raises(ValueError):
+            walk_backward_lanes([s, s], [kids, kids])
+        with pytest.raises(ValueError):
+            walk_backward_lanes([s], [kids, kids])
+        with pytest.raises(ValueError):
+            walk_backward_lanes([SoAKRRStack(4, strategy="linear", rng=0)], [kids])
+        assert s.updates == 0
 
     def test_use_native_false_disables_kernel(self):
         s = SoAKRRStack(4, rng=0, use_native=False)
