@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -225,9 +225,14 @@ class StreamingTracePlan:
     never exist, so the same preparation is computed *incrementally*:
 
     * :meth:`intern` — dense key ids assigned in first-seen order (new
-      keys of a chunk in ascending key order), kept as a sorted key array
-      beside its id array, so a chunk is one unique-pass, one
-      ``searchsorted`` and one merge, with no per-key Python.  Id *values*
+      keys of a chunk in ascending key order), kept as sorted runs of
+      keys beside their ids, so a chunk is one unique-pass plus a
+      ``searchsorted`` per run, with no per-key Python.  A chunk's new
+      keys become a run that absorbs the smallest runs while they are at
+      most twice its size, so each run is more than twice the next, there
+      are O(log U) runs for U distinct keys, and a key takes part in
+      O(log U) merges: a chunk does not rewrite all U keys, as a single
+      sorted array would for every chunk that brings a new key.  Id *values*
       differ from :attr:`TracePlan.key_ids` (sorted-table order) but the
       key<->id bijection is equivalent, which is all the SoA stacks need
       (distances depend on stack positions, not id values — see
@@ -243,9 +248,9 @@ class StreamingTracePlan:
     """
 
     def __init__(self) -> None:
-        #: Every key seen so far, ascending, and its dense id.
-        self._keys = np.empty(0, dtype=np.int64)
-        self._key_ids = np.empty(0, dtype=np.int64)
+        #: Every key seen so far as sorted ``(keys, ids)`` runs, largest first.
+        self._runs: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._n_keys = 0
         self.n_requests = 0
         self.n_chunks = 0
         self.fingerprint = 0
@@ -254,7 +259,7 @@ class StreamingTracePlan:
 
     @property
     def n_unique_keys(self) -> int:
-        return int(self._keys.shape[0])
+        return self._n_keys
 
     def observe(self, chunk: Trace) -> None:
         """Fold one chunk into the running counters and fingerprint."""
@@ -269,22 +274,31 @@ class StreamingTracePlan:
         uniq, inverse = np.unique(
             np.asarray(keys, dtype=np.int64), return_inverse=True
         )
-        seen = self._keys
-        at = np.searchsorted(seen, uniq)
-        known = at < seen.shape[0]
-        known[known] = seen[at[known]] == uniq[known]
         lut = np.empty(uniq.shape[0], dtype=np.int64)
-        lut[known] = self._key_ids[at[known]]
-        # New keys take the next ids in ascending key order, and merge
-        # into the sorted arrays at their searchsorted positions.
-        fresh = ~known
-        new_keys = uniq[fresh]
-        n_seen = seen.shape[0]
-        new_ids = np.arange(n_seen, n_seen + new_keys.shape[0], dtype=np.int64)
-        lut[fresh] = new_ids
-        if new_keys.shape[0]:
-            self._keys = np.insert(seen, at[fresh], new_keys)
-            self._key_ids = np.insert(self._key_ids, at[fresh], new_ids)
+        todo = np.arange(uniq.shape[0])  # chunk keys not found in a run yet
+        for run_keys, run_ids in self._runs:
+            if not todo.shape[0]:
+                break
+            want = uniq[todo]
+            at = np.minimum(np.searchsorted(run_keys, want), run_keys.shape[0] - 1)
+            hit = run_keys[at] == want
+            lut[todo[hit]] = run_ids[at[hit]]
+            todo = todo[~hit]
+        if todo.shape[0]:
+            # New keys take the next ids in ascending key order.
+            new_keys = uniq[todo]
+            new_ids = np.arange(
+                self._n_keys, self._n_keys + todo.shape[0], dtype=np.int64
+            )
+            lut[todo] = new_ids
+            self._n_keys += int(todo.shape[0])
+            runs = self._runs
+            while runs and runs[-1][0].shape[0] <= 2 * new_keys.shape[0]:
+                run_keys, run_ids = runs.pop()
+                at = np.searchsorted(run_keys, new_keys)
+                new_keys = np.insert(run_keys, at, new_keys)
+                new_ids = np.insert(run_ids, at, new_ids)
+            runs.append((new_keys, new_ids))
         return np.ascontiguousarray(lut[inverse], dtype=np.int64)
 
     def chunk_hashes(self, keys: np.ndarray, seed: int = 0) -> np.ndarray:

@@ -383,14 +383,12 @@ class SoAKRRStack:
     ) -> np.ndarray:
         if kids.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        self._ensure_capacity(int(kids.max()), kids.shape[0])
         if self.strategy_name == "linear":
+            self._ensure_capacity(int(kids.max()), kids.shape[0])
             distances = self._walk_linear(kids)
-        elif self._kernel is not None:
-            distances = self._walk_backward_native(kids)
+            self.updates += int(kids.shape[0])
         else:
-            distances = self._walk_backward_python(kids)
-        self.updates += int(kids.shape[0])
+            distances = _walk_backward([self], [kids])[0]
         if sizes is not None:
             # Fancy assignment applies duplicates in order, so the last
             # access's size wins — the same end state the scalar stack's
@@ -399,10 +397,6 @@ class SoAKRRStack:
         return distances
 
     # ------------------------------------------------------------------
-    def _walk_backward_native(self, kids: np.ndarray) -> np.ndarray:
-        assert self._kernel is not None
-        return _walk_lanes(self._kernel, [self], [kids])[0]
-
     def _walk_backward_python(self, kids: np.ndarray) -> np.ndarray:
         """Pure-Python mirror of the native kernel (same draws, same state)."""
         n_res = self._n
@@ -531,12 +525,13 @@ def walk_backward_lanes(
     """Walk each backward stack over its own chunk of dense ids at once.
 
     ``kids[i]`` feeds ``stacks[i]`` exactly as
-    :meth:`SoAKRRStack.access_many_interned` would, and the returned
-    ``distances[i]`` are what that call returns: every stack keeps its
-    own draws, refill order and counters, so the result does not depend
-    on which stacks share the call or in what order they are listed.
-    The stacks with a kernel go through one native call that keeps two
-    swap chains in flight; the others take their pure-Python walk.
+    :meth:`SoAKRRStack.access_many_interned` would, with the same id-space
+    guard, and the returned ``distances[i]`` are what that call returns:
+    every stack keeps its own draws, refill order and counters, so the
+    result does not depend on which stacks share the call or in what
+    order they are listed.  The stacks with a kernel go through one
+    native call that keeps two swap chains in flight; the others take
+    their pure-Python walk.
     """
     if len(stacks) != len(kids):
         raise ValueError(f"{len(stacks)} stacks but {len(kids)} kid arrays")
@@ -545,7 +540,28 @@ def walk_backward_lanes(
     if len({id(stack) for stack in stacks}) != len(stacks):
         # Two lanes on one stack would walk the same arrays at once.
         raise ValueError("walk_backward_lanes got the same stack twice")
-    kids = [np.ascontiguousarray(ids, dtype=np.int64) for ids in kids]
+    if any(stack._ids or stack._key_table is not None for stack in stacks):
+        raise RuntimeError(
+            "this stack already interned keys via another access path; "
+            "mixing with streamed dense ids would corrupt the id space"
+        )
+    for stack in stacks:
+        stack._external_dense = True
+    return _walk_backward(
+        stacks, [np.ascontiguousarray(ids, dtype=np.int64) for ids in kids]
+    )
+
+
+def _walk_backward(
+    stacks: Sequence[SoAKRRStack], kids: Sequence[np.ndarray]
+) -> List[np.ndarray]:
+    """The backward walk behind every access path, for one or many stacks.
+
+    Makes room in every stack first, so no array moves while the kernel
+    is bound; sends the stacks with a kernel through one
+    :func:`_walk_lanes` call and the others through their Python walk;
+    counts the updates.
+    """
     for stack, ids in zip(stacks, kids):
         if ids.shape[0]:
             stack._ensure_capacity(int(ids.max()), ids.shape[0])

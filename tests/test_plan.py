@@ -308,7 +308,7 @@ _chunk_keys = st.lists(
 
 class TestStreamingIntern:
     @settings(max_examples=60, deadline=None)
-    @given(chunks=st.lists(_chunk_keys, max_size=8))
+    @given(chunks=st.lists(_chunk_keys, max_size=16))
     def test_matches_dict_reference(self, chunks):
         """Repeated, negative, int64-edge keys and empty chunks: the same
         id for every request and the same distinct-key count as a dict."""
@@ -320,3 +320,21 @@ class TestStreamingIntern:
             assert got.dtype == np.int64 and got.flags.c_contiguous
             assert got.tolist() == _dict_intern(ids, keys).tolist()
             assert plan.n_unique_keys == len(ids)
+
+    def test_long_stream_keeps_few_runs(self):
+        """New keys in every chunk: ids still match the dict, and the
+        sorted runs stay logarithmic in the distinct-key count."""
+        rng = np.random.default_rng(11)
+        plan = StreamingTracePlan()
+        ids: dict = {}
+        for c in range(300):
+            n = int(rng.integers(0, 400))
+            keys = np.concatenate([
+                rng.integers(-64, 64 * (c + 1), size=n),  # mostly seen before
+                rng.integers(-(1 << 40), 1 << 40, size=n // 4),  # mostly new
+            ])
+            assert plan.intern(keys).tolist() == _dict_intern(ids, keys).tolist()
+        assert plan.n_unique_keys == len(ids)
+        sizes = [run_keys.shape[0] for run_keys, _ in plan._runs]
+        assert sum(sizes) == len(ids)
+        assert all(big > 2 * small for big, small in zip(sizes, sizes[1:]))

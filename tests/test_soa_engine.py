@@ -213,6 +213,23 @@ class TestStackApi:
         with pytest.raises(ValueError):
             walk_backward_lanes([SoAKRRStack(4, strategy="linear", rng=0)], [kids])
         assert s.updates == 0
+        # Same id-space guard as access_many_interned: a stack that holds
+        # raw-key or key-table ids refuses streamed ids, and a stack the
+        # lanes walk fed refuses reverse lookups.
+        raw = SoAKRRStack(4, rng=0)
+        raw.access_many([10, 20])
+        tabled = SoAKRRStack(4, rng=0)
+        tabled.access_many_ids(kids[:1], np.asarray([5, 6, 7], dtype=np.int64))
+        for bound in (raw, tabled):
+            with pytest.raises(RuntimeError):
+                walk_backward_lanes([s, bound], [kids, kids])
+        assert s.updates == 0 and raw.updates == 2 and tabled.updates == 1
+        walk_backward_lanes([s], [kids])
+        assert s.updates == 3
+        with pytest.raises(RuntimeError):
+            s.access_many([1])
+        with pytest.raises(RuntimeError):
+            s.position_of(1)
 
     def test_use_native_false_disables_kernel(self):
         s = SoAKRRStack(4, rng=0, use_native=False)
