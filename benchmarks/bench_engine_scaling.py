@@ -13,16 +13,21 @@ Measures, on a 500k-request zipf trace (50k objects, alpha=0.99):
    as many draws as the run consumed, so walk time and draw time can be
    told apart.
 2. **MultiKRR one-pass grid** — the 12-config (K x sampling-rate) grid
-   evaluated in one streaming pass, bit-identity-checked against the
-   scalar-engine `ModelSweep` oracle.  Its swap count and wall time per
-   swap sit beside the single-config SoA figures (ungated).
-3. **ModelSweep fan-out** — the same grid run serially and with 4 workers
-   over the shared-memory trace store, with a bit-identity check.
+   evaluated in one streaming pass, bit-identity-checked against an
+   oracle of 12 independent scalar-engine `KRRModel` runs with the same
+   spawned seeds.  Its swap count and wall time per swap sit beside the
+   single-config SoA figures (ungated).
+3. **ModelSweep one pass** — the same grid through `ModelSweep.run`
+   (the streamed one-pass body) against the per-cell loop it replaced:
+   one `KRRModel.process(trace, plan=TracePlan.for_trace(trace))` run per
+   config with the spawned seeds, plan build included.  Best of 5,
+   interleaved; curves and counters must match bit for bit.
 
 This run doubles as the CI perf gate (see ``_gate``): the SoA engine must
 never be slower than the legacy loop, must clear 5x when the native
-kernel is active, every engine/grid curve must be bit-identical, and the
-one-pass grid must stay under 3x the single-config SoA time.  Any
+kernel is active, every engine/grid curve must be bit-identical, the
+one-pass grid must stay under 3x the single-config SoA time, and the
+one-pass sweep must run at >= 0.9x the per-cell loop's speed.  Any
 violation makes the process exit nonzero.
 
 Writes machine-readable results to ``BENCH_engine.json`` at the repo root
@@ -47,9 +52,16 @@ from _common import write_result  # noqa: E402
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 K = 5
-SWEEP_WORKERS = 4
 SWEEP_KS = (1, 2, 5, 10)
 SWEEP_RATES = (0.1, 0.05, 0.01)  # 4 x 3 = 12 configs
+SWEEP_REPEATS = 5
+COUNTERS = (
+    "requests_seen",
+    "requests_sampled",
+    "cold_misses",
+    "stack_updates",
+    "swap_positions",
+)
 
 
 def _legacy_process(model, trace):
@@ -145,28 +157,58 @@ def _draw_ns_per_draw(k, draws, seed):
     return (time.perf_counter() - t0) / (blocks * DRAW_BLOCK) * 1e9
 
 
+def _per_cell_models(trace, configs, seeds, engine="auto", plan=None):
+    """One independent ``KRRModel.process`` run per config (the oracle)."""
+    from repro import KRRModel
+
+    models = []
+    for cfg, cell_seed in zip(configs, seeds):
+        model = KRRModel(
+            k=cfg.k,
+            strategy=cfg.strategy,
+            sampling_rate=cfg.sampling_rate,
+            correction=cfg.correction,
+            seed=cell_seed,
+        )
+        model.process(trace, plan=plan, engine=engine)
+        models.append(model)
+    return models
+
+
+def _rows_match_models(rows, models):
+    """Curves and all five counters bit-identical, cell by cell."""
+    for row, model in zip(rows, models):
+        curve = model.mrc()
+        if not (
+            np.array_equal(row.sizes, curve.sizes)
+            and row.sizes.dtype == curve.sizes.dtype
+            and np.array_equal(row.miss_ratios, curve.miss_ratios)
+            and all(
+                getattr(row, name) == getattr(model.stats, name)
+                for name in COUNTERS
+            )
+        ):
+            return False
+    return len(rows) == len(models)
+
+
 def bench_multi_krr(trace, seed=3):
     from repro.core.vkrr import MultiKRR
-    from repro.engine import ModelSweep
 
     grid = MultiKRR.grid(ks=SWEEP_KS, sampling_rates=SWEEP_RATES, seed=seed)
     t0 = time.perf_counter()
     rows = grid.run(trace)
     multi_s = time.perf_counter() - t0
 
-    # The scalar-engine serial sweep is the oracle: N fully independent
-    # KRRModel runs with the same spawned per-config seeds.
-    sweep = ModelSweep.grid(ks=SWEEP_KS, sampling_rates=SWEEP_RATES, seed=seed)
+    # The oracle: N fully independent scalar-engine KRRModel runs with the
+    # same spawned per-config seeds.
     t0 = time.perf_counter()
-    oracle = sweep.run(trace, max_workers=1, engine="scalar")
+    oracle = _per_cell_models(
+        trace, grid.configs, grid.config_seeds(), engine="scalar"
+    )
     oracle_s = time.perf_counter() - t0
 
-    identical = all(
-        np.array_equal(a.sizes, b.sizes)
-        and np.array_equal(a.miss_ratios, b.miss_ratios)
-        and a.swap_positions == b.swap_positions
-        for a, b in zip(oracle, rows)
-    )
+    identical = _rows_match_models(rows, oracle)
     multi_swaps = sum(row.swap_positions for row in rows)
     return {
         "n_configs": len(grid),
@@ -180,33 +222,32 @@ def bench_multi_krr(trace, seed=3):
 
 
 def bench_sweep(trace, seed=3):
-    from repro.engine import ModelSweep
+    from repro.engine import ModelSweep, TracePlan, clear_plan_cache
 
     sweep = ModelSweep.grid(ks=SWEEP_KS, sampling_rates=SWEEP_RATES, seed=seed)
-    t0 = time.perf_counter()
-    serial = sweep.run(trace, max_workers=1)
-    serial_s = time.perf_counter() - t0
+    seeds = sweep.config_seeds()
+    one_pass_s = per_cell_s = float("inf")
+    identical = True
+    # Interleaved best-of-N: both legs see the same machine state.
+    for _ in range(SWEEP_REPEATS):
+        t0 = time.perf_counter()
+        rows = sweep.run(trace)
+        one_pass_s = min(one_pass_s, time.perf_counter() - t0)
 
-    # Oversubscribing a small box (e.g. a 1-CPU CI runner) just measures
-    # scheduler thrash, so cap the fan-out at the actual core count and
-    # record what was effectively used alongside the request.
-    workers = min(SWEEP_WORKERS, os.cpu_count() or 1)
-    t0 = time.perf_counter()
-    parallel = sweep.run(trace, max_workers=workers)
-    parallel_s = time.perf_counter() - t0
-
-    identical = all(
-        np.array_equal(a.sizes, b.sizes)
-        and np.array_equal(a.miss_ratios, b.miss_ratios)
-        for a, b in zip(serial, parallel)
-    )
+        # The per-cell loop pays for its shared plan, as the sweep did.
+        clear_plan_cache()
+        t0 = time.perf_counter()
+        models = _per_cell_models(
+            trace, sweep.configs, seeds, plan=TracePlan.for_trace(trace)
+        )
+        per_cell_s = min(per_cell_s, time.perf_counter() - t0)
+        identical = identical and _rows_match_models(rows, models)
     return {
         "n_configs": len(sweep),
-        "workers_requested": SWEEP_WORKERS,
-        "workers": workers,
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "speedup": round(serial_s / parallel_s, 3),
+        "repeats": SWEEP_REPEATS,
+        "one_pass_s": round(one_pass_s, 4),
+        "per_cell_s": round(per_cell_s, 4),
+        "speedup": round(per_cell_s / one_pass_s, 3),
         "bit_identical_grids": bool(identical),
     }
 
@@ -228,7 +269,7 @@ def _gate(payload):
         )
     multi = payload["multi_krr"]
     if not multi["identical_to_scalar_oracle"]:
-        failures.append("MultiKRR grid differs from scalar ModelSweep oracle")
+        failures.append("MultiKRR grid differs from the scalar per-cell oracle")
     if multi["multi_s"] > 3.0 * max(eng["soa_s"], 1e-3):
         failures.append(
             f"MultiKRR {multi['n_configs']}-config grid took {multi['multi_s']}s "
@@ -236,7 +277,12 @@ def _gate(payload):
         )
     swept = payload["model_sweep"]
     if not swept["bit_identical_grids"]:
-        failures.append("serial and parallel sweep grids differ")
+        failures.append("one-pass sweep grid differs from the per-cell loop")
+    if swept["speedup"] < 0.9:
+        failures.append(
+            "one-pass sweep regresses vs the per-cell loop "
+            f"({swept['speedup']:.2f}x < 0.9x)"
+        )
     return failures
 
 
@@ -306,9 +352,10 @@ def main(argv=None):
         f"({multi['speedup_vs_scalar_oracle']:.2f}x)",
         f"  identical to scalar oracle: {multi['identical_to_scalar_oracle']}",
         "",
-        f"ModelSweep {swept['n_configs']}-config grid:",
-        f"  serial      {swept['serial_s']:8.2f}s",
-        f"  {swept['workers']} workers   {swept['parallel_s']:8.2f}s",
+        f"ModelSweep {swept['n_configs']}-config grid "
+        f"(best of {swept['repeats']}):",
+        f"  one pass    {swept['one_pass_s']:8.2f}s",
+        f"  per cell    {swept['per_cell_s']:8.2f}s",
         f"  speedup     {swept['speedup']:.2f}x  "
         f"(grids bit-identical: {swept['bit_identical_grids']})",
         "",

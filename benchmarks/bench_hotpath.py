@@ -8,10 +8,9 @@ Measures, on a 500k-request zipf trace (50k objects, alpha=0.99):
 2. **Spatially sampled KRRModel** — ``process(trace, plan)`` at rate 0.01
    (vectorized prefilter from the shared TracePlan hash column) against
    the legacy streaming loop (one ``access()``/``keep()`` per request).
-3. **ModelSweep IPC batching** — the 12-config (K x rate) grid serially,
-   with 4 workers one-task-per-config (the configuration that used to
-   regress on low-core machines), and with 4 workers + ``chunk_size=
-   "auto"`` task batching; all three grids must be bit-identical.
+
+The grid sweep is timed in ``bench_engine_scaling.py`` (one pass against
+the per-cell loop it replaced).
 
 Writes machine-readable results to ``BENCH_hotpath.json`` at the repo
 root and a text summary under ``benchmarks/results/``.  Exits non-zero
@@ -38,9 +37,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 K = 5
 SAMPLING_RATE = 0.01
-SWEEP_WORKERS = 4
-SWEEP_KS = (1, 2, 5, 10)
-SWEEP_RATES = (0.1, 0.05, 0.01)  # 4 x 3 = 12 configs
 
 
 def bench_exact_lru(trace):
@@ -106,42 +102,6 @@ def bench_sampled_process(trace, seed=1):
     }
 
 
-def bench_sweep(trace, seed=3):
-    from repro.engine import ModelSweep
-
-    sweep = ModelSweep.grid(ks=SWEEP_KS, sampling_rates=SWEEP_RATES, seed=seed)
-    t0 = time.perf_counter()
-    serial = sweep.run(trace, max_workers=1)
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    unchunked = sweep.run(trace, max_workers=SWEEP_WORKERS)
-    unchunked_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    chunked = sweep.run(trace, max_workers=SWEEP_WORKERS, chunk_size="auto")
-    chunked_s = time.perf_counter() - t0
-
-    identical = all(
-        np.array_equal(a.sizes, b.sizes)
-        and np.array_equal(a.miss_ratios, b.miss_ratios)
-        and np.array_equal(a.sizes, c.sizes)
-        and np.array_equal(a.miss_ratios, c.miss_ratios)
-        for a, b, c in zip(serial, unchunked, chunked)
-    )
-    return {
-        "n_configs": len(sweep),
-        "workers": SWEEP_WORKERS,
-        "serial_s": round(serial_s, 4),
-        "parallel_unchunked_s": round(unchunked_s, 4),
-        "parallel_chunked_s": round(chunked_s, 4),
-        "unchunked_speedup_vs_serial": round(serial_s / unchunked_s, 3),
-        "chunked_speedup_vs_serial": round(serial_s / chunked_s, 3),
-        "chunked_speedup_vs_unchunked": round(unchunked_s / chunked_s, 3),
-        "bit_identical_grids": bool(identical),
-    }
-
-
 def _gate(payload):
     """Perf-smoke pass/fail: vectorized never slower, always identical."""
     failures = []
@@ -154,19 +114,6 @@ def _gate(payload):
             )
         if not section["curves_identical"]:
             failures.append(f"{name}: vectorized curves differ from legacy")
-    swept = payload["model_sweep"]
-    if not swept["bit_identical_grids"]:
-        failures.append("model_sweep: grids not bit-identical")
-    if swept["chunked_speedup_vs_unchunked"] < 0.95:
-        failures.append(
-            "model_sweep: task batching slower than one-task-per-config "
-            f"({swept['chunked_speedup_vs_unchunked']:.2f}x)"
-        )
-    if swept["chunked_speedup_vs_serial"] < 0.9:
-        failures.append(
-            "model_sweep: chunked parallel path regresses vs serial "
-            f"({swept['chunked_speedup_vs_serial']:.2f}x)"
-        )
     return failures
 
 
@@ -188,7 +135,6 @@ def main(argv=None):
 
     exact = bench_exact_lru(trace)
     sampled = bench_sampled_process(trace)
-    swept = bench_sweep(trace)
 
     payload = {
         "bench": "hotpath",
@@ -202,7 +148,6 @@ def main(argv=None):
         },
         "exact_lru": exact,
         "sampled_process": sampled,
-        "model_sweep": swept,
     }
     failures = _gate(payload)
     payload["gate_failures"] = failures
@@ -226,17 +171,6 @@ def main(argv=None):
         f"  plan + batched      {sampled['vectorized_s']:8.2f}s",
         f"  speedup             {sampled['speedup']:.2f}x  "
         f"(curves identical: {sampled['curves_identical']})",
-        "",
-        f"ModelSweep {swept['n_configs']}-config grid "
-        f"(K in {list(SWEEP_KS)}, R in {list(SWEEP_RATES)}):",
-        f"  serial                      {swept['serial_s']:8.2f}s",
-        f"  {swept['workers']} workers, 1 cfg/task       "
-        f"{swept['parallel_unchunked_s']:8.2f}s  "
-        f"({swept['unchunked_speedup_vs_serial']:.2f}x vs serial)",
-        f"  {swept['workers']} workers, chunked (auto)   "
-        f"{swept['parallel_chunked_s']:8.2f}s  "
-        f"({swept['chunked_speedup_vs_serial']:.2f}x vs serial)",
-        f"  grids bit-identical: {swept['bit_identical_grids']}",
         "",
         f"wrote {out}",
     ]

@@ -12,7 +12,7 @@ Sampling-Based LRU* (ICPP 2021).  The headline API:
 Sub-packages:
 
 - :mod:`repro.core` — the KRR stack, fast updates, size tracking, model
-- :mod:`repro.engine` — shared-memory parallel modeling engine (ModelSweep)
+- :mod:`repro.engine` — grid sweeps over one trace or a fleet (ModelSweep)
 - :mod:`repro.stack` — Mattson framework and exact LRU oracles
 - :mod:`repro.sampling` — SHARDS-style spatial sampling
 - :mod:`repro.simulator` — ground-truth K-LRU / LRU / Redis-like caches
@@ -38,7 +38,7 @@ from . import (
 )
 from .core.krr import KRRStack
 from .core.model import KRRModel, KRRResult, model_trace
-from .engine import ModelSweep, RunReport, SweepConfig
+from .engine import ModelSweep, RunReport, SweepConfig, SweepResult
 from .mrc.curve import MissRatioCurve
 from .workloads.trace import Trace
 
@@ -52,6 +52,7 @@ __all__ = [
     "ModelSweep",
     "RunReport",
     "SweepConfig",
+    "SweepResult",
     "Trace",
     "adaptive",
     "partition",

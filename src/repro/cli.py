@@ -5,9 +5,8 @@ Usage (also via ``python -m repro``):
     repro generate --suite msr --preset src1 -n 100000 -o trace.csv
     repro info trace.csv
     repro model trace.csv --k 5 --rate 0.01 -o mrc.csv
-    repro sweep trace.csv --ks 1,5,10 --rates none,0.01 --workers 4 -o grid.csv
-    repro sweep trace.csv --ks 1,5 --checkpoint sweep.ckpt --task-timeout 600 \
-        --retries 3 --report run_report.json -o grid.csv
+    repro sweep trace.csv --ks 1,5,10 --rates none,0.01 -o grid.csv
+    repro sweep trace.csv --ks 1,5 --checkpoint sweep.ckpt -o grid.csv
     repro fleet t0.csv.gz t1.npz t2.chunks --ks 1,5 --rates none,0.01 \
         --checkpoint-dir fleet.ckpt --report fleet.json -o grids.csv
     repro simulate trace.csv --policy lru --k 5 --points 10
@@ -162,35 +161,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         correction=not args.no_correction,
         seed=args.seed,
     )
-    chunk_size = args.chunk_size
-    if chunk_size is not None and chunk_size != "auto":
-        chunk_size = int(chunk_size)
-    results, report = sweep.run_with_report(
-        trace,
-        max_workers=args.workers,
-        max_size=args.max_size,
-        task_timeout=args.task_timeout,
-        retries=args.retries,
-        checkpoint=args.checkpoint,
-        chunk_size=chunk_size,
-        engine=args.engine,
+    results = sweep.run(
+        trace, max_size=args.max_size, checkpoint=args.checkpoint
     )
     print(
-        f"# {len(results)} configs x {len(trace)} requests "
-        f"(workers={args.workers or 'auto'}, seed={args.seed})",
+        f"# {len(results)} configs x {len(trace)} requests (seed={args.seed})",
         file=sys.stderr,
     )
-    print(
-        f"# run: mode={report.mode} attempts={report.attempts} "
-        f"retries={report.retries} timeouts={report.timeouts} "
-        f"rebuilds={report.pool_rebuilds} "
-        f"degraded={report.degraded_to_serial} "
-        f"resumed={report.from_checkpoint} wall={report.wall_time:.2f}s",
-        file=sys.stderr,
-    )
-    if args.report:
-        Path(args.report).write_text(report.to_json() + "\n")
-        print(f"wrote run report to {args.report}", file=sys.stderr)
     for r in results:
         print(
             f"# {r.config.label():28s} sampled={r.requests_sampled}"
@@ -395,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_model)
 
     sw = sub.add_parser(
-        "sweep", help="parallel grid of KRR configs (shared-memory engine)"
+        "sweep", help="grid of KRR configs over one trace, in one pass"
     )
     sw.add_argument("trace")
     sw.add_argument("--ks", default="5", help="comma-separated K values")
@@ -407,34 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disable the K'=K^1.4 correction")
     sw.add_argument("--seed", type=int, default=0,
                     help="sweep seed (per-config seeds derive from it)")
-    sw.add_argument("--workers", type=int, default=None,
-                    help="process count (default: min(configs, cpus))")
     sw.add_argument("--max-size", type=int, default=None,
                     help="cap the MRC size axis")
     sw.add_argument("--checkpoint", default=None, metavar="PATH",
                     help="JSONL checkpoint: stream finished configs here and "
                          "resume an interrupted sweep by skipping them")
-    sw.add_argument("--task-timeout", type=float, default=None,
-                    metavar="SECONDS",
-                    help="kill and retry any config running longer than this")
-    sw.add_argument("--retries", type=int, default=2,
-                    help="retry budget per config for transient worker "
-                         "failures and timeouts (default: 2)")
-    sw.add_argument("--chunk-size", default=None, metavar="N|auto",
-                    help="grid cells per pool task: batching amortizes "
-                         "per-task IPC on small sweeps ('auto' spreads the "
-                         "grid evenly over the workers; default: 1). "
-                         "Results are identical for any value")
-    sw.add_argument("--engine", default="auto",
-                    choices=("auto", "scalar", "soa"),
-                    help="per-config streaming engine: 'soa' is the "
-                         "array-native stack (fastest), 'scalar' the boxed "
-                         "per-access loop, 'auto' picks 'soa' whenever the "
-                         "config supports it. Draw-for-draw identical "
-                         "results either way")
-    sw.add_argument("--report", default=None, metavar="PATH",
-                    help="write the structured RunReport (attempts, retries, "
-                         "timeouts, per-config wall time) as JSON")
     sw.add_argument("-o", "--output", default=None,
                     help="long-format CSV (k,strategy,rate,size,miss_ratio)")
     sw.set_defaults(func=cmd_sweep)

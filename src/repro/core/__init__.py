@@ -31,15 +31,13 @@ from .updates import (
     make_strategy,
     survival_table,
 )
-from .vkrr import GridConfig, GridResult, MultiKRR, spawn_seeds
+from .vkrr import MultiKRR, SweepConfig, SweepResult, spawn_seeds
 
 __all__ = [
     "BackwardUpdate",
     "DEFAULT_EXPONENT",
     "DRAW_BLOCK",
     "FixedSizeKRRModel",
-    "GridConfig",
-    "GridResult",
     "KFRModel",
     "KFRStack",
     "KRRModel",
@@ -50,6 +48,8 @@ __all__ = [
     "MultiKRR",
     "SizeArray",
     "SurvivalTable",
+    "SweepConfig",
+    "SweepResult",
     "TTLAwareKRRModel",
     "WindowedKRRModel",
     "TopDownUpdate",

@@ -358,10 +358,9 @@ class KRRModel:
 
         ``plan`` supplies a :class:`~repro.engine.plan.TracePlan` for this
         trace; its cached hash column and per-rate sampled-index cache
-        replace the filter's hash pass entirely (the sweep engine shares
-        one plan across every grid cell and worker), and on the SoA
-        engine its cached factorization also replaces the stack's key
-        interning.  The selected indices are identical either way.
+        replace the filter's hash pass entirely (models over one trace
+        share one cached plan), and on the SoA engine its cached
+        factorization also replaces the stack's key interning.  The selected indices are identical either way.
 
         ``stream`` accepts a bounded-memory
         :class:`~repro.workloads.stream.TraceStream` (any iterable of

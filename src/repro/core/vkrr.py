@@ -1,33 +1,36 @@
 """MultiKRR: one-pass evaluation of a whole (K, strategy, rate) grid.
 
-:class:`~repro.engine.sweep.ModelSweep` answers grid questions by running
-one full :class:`~repro.core.model.KRRModel` per configuration — C
-passes over the trace, C factorizations, C hash columns.  MultiKRR
-evaluates the same grid in **one streaming pass**: the trace is prepared
-once (dense key ids via factorization, one hash column per sampling
-seed), every configuration's stack lives as one row of a C×U 2-D
-``int64`` state block (slot row + position row, C-contiguous so each
-row feeds a :class:`~repro.stack.soa.SoAKRRStack` zero-copy), and each
-request chunk is pushed through all C stacks before the next chunk is
-touched — the chunk stays hot in cache while every configuration
-consumes it.  The backward cells advance together, in one
+A grid question — "what does the MRC look like for K in {1, 2, 5, 10},
+with and without spatial sampling?" — could be answered by one full
+:class:`~repro.core.model.KRRModel` per configuration: C passes over the
+trace, C factorizations, C hash columns.  MultiKRR evaluates the grid in
+**one streaming pass**: the trace is prepared once (dense key ids via
+factorization, one hash column per sampling seed), every configuration's
+stack lives as one row of a C×U 2-D ``int64`` state block (slot row +
+position row, C-contiguous so each row feeds a
+:class:`~repro.stack.soa.SoAKRRStack` zero-copy), and each request chunk
+is pushed through all C stacks before the next chunk is touched — the
+chunk stays hot in cache while every configuration consumes it.  The
+backward cells advance together, in one
 :func:`~repro.stack.soa.walk_backward_lanes` call per chunk that keeps
 two cells' swap chains in flight.
 
 **Seeding contract.**  Per-configuration seeds are spawned from the grid
-seed by position with :func:`spawn_seeds` — the *same* derivation
-:meth:`ModelSweep.config_seeds` uses — and each stack owns its own
-generator, so chunking and configuration order cannot leak draws between
-cells.  Every cell's distances, histogram and counters are bit-identical
-to an independent ``KRRModel.process`` run with the matching seed
-(property-tested in ``tests/test_vkrr.py``).
+seed by position with :func:`spawn_seeds`, the engine-wide derivation,
+and each stack owns its own generator, so chunking and configuration
+order cannot leak draws between cells.  Every cell's distances,
+histogram and counters are bit-identical to an independent
+``KRRModel.process`` run with the matching seed (property-tested in
+``tests/test_vkrr.py``).
 
-Configurations are duck-typed: anything with ``k``, ``strategy``,
-``sampling_rate`` and ``correction`` attributes works, so
-:class:`~repro.engine.sweep.SweepConfig` instances can be passed
-directly.  Strategies are limited to the SoA-capable set
-(``backward``/``linear``); byte-level tracking (``track_sizes``) needs
-the scalar engine — use :class:`ModelSweep` for those grids.
+Cells are :class:`SweepConfig` points and results are
+:class:`SweepResult` rows — the one config and result type of every grid
+evaluator (:class:`~repro.engine.sweep.ModelSweep` and
+:class:`~repro.engine.fleet.FleetSweep` run their SoA-capable cells
+through MultiKRR).  Strategies are limited to the SoA-capable set
+(``backward``/``linear``); ``topdown`` and byte-level tracking
+(``track_sizes``) need the scalar engine, which ``ModelSweep`` runs as a
+second pass.
 """
 
 from __future__ import annotations
@@ -52,9 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> core)
     from ..engine.plan import TracePlan
 
 __all__ = [
-    "GridConfig",
-    "GridResult",
     "MultiKRR",
+    "SweepConfig",
+    "SweepResult",
     "spawn_seeds",
 ]
 
@@ -68,9 +71,8 @@ DEFAULT_CHUNK = 1 << 18
 def spawn_seeds(n: int, seed: int = 0) -> List[int]:
     """Per-cell model seeds, fixed by grid position.
 
-    This is the engine-wide seed derivation: ``ModelSweep.config_seeds``
-    delegates here, so a MultiKRR grid and a ModelSweep over the same
-    configuration list draw identical per-cell streams.
+    This is the engine-wide seed derivation: ``MultiKRR``, ``ModelSweep``
+    and ``FleetSweep`` all draw their per-cell streams from it.
     """
     root = np.random.SeedSequence(int(seed))
     return [
@@ -80,13 +82,14 @@ def spawn_seeds(n: int, seed: int = 0) -> List[int]:
 
 
 @dataclass(frozen=True)
-class GridConfig:
-    """One grid cell (field-compatible subset of ``SweepConfig``)."""
+class SweepConfig:
+    """One point of a grid: a full KRR model configuration."""
 
     k: int = 5
     strategy: str = "backward"
     sampling_rate: Optional[float] = None
     correction: bool = True
+    track_sizes: bool = False
 
     def label(self) -> str:
         rate = "full" if self.sampling_rate is None else f"R={self.sampling_rate:g}"
@@ -94,10 +97,10 @@ class GridConfig:
 
 
 @dataclass
-class GridResult:
-    """One cell's finished curve plus the model counters."""
+class SweepResult:
+    """One configuration's finished model: its curve points plus counters."""
 
-    config: object
+    config: SweepConfig
     seed: int
     sizes: np.ndarray
     miss_ratios: np.ndarray
@@ -109,9 +112,8 @@ class GridResult:
     swap_positions: int = 0
 
     def mrc(self) -> MissRatioCurve:
-        label = self.config.label() if hasattr(self.config, "label") else ""
         return from_points(
-            self.sizes, self.miss_ratios, unit=self.unit, label=str(label)
+            self.sizes, self.miss_ratios, unit=self.unit, label=self.config.label()
         )
 
 
@@ -126,7 +128,7 @@ class _Cell:
 
     def __init__(
         self,
-        config: object,
+        config: SweepConfig,
         seed: int,
         stack: SoAKRRStack,
         hist: DistanceHistogram,
@@ -177,11 +179,13 @@ class MultiKRR:
     Parameters
     ----------
     configs:
-        Grid cells — :class:`GridConfig`, ``SweepConfig``, or any object
-        with ``k``/``strategy``/``sampling_rate``/``correction``.
+        Grid cells (:class:`SweepConfig`; ``backward``/``linear`` only,
+        no ``track_sizes``).
     seed:
         Grid-level seed; per-cell seeds come from :func:`spawn_seeds` by
-        position, exactly like ``ModelSweep``.
+        position.
+    seeds:
+        Explicit per-cell seeds in place of the positional spawn.
 
     Example
     -------
@@ -191,26 +195,25 @@ class MultiKRR:
 
     def __init__(
         self,
-        configs: Sequence[object],
+        configs: Sequence[SweepConfig],
         seed: int = 0,
         seeds: Optional[Sequence[int]] = None,
     ) -> None:
-        self.configs: List[object] = list(configs)
+        self.configs: List[SweepConfig] = list(configs)
         if not self.configs:
             raise ValueError("need at least one grid configuration")
         for cfg in self.configs:
-            strategy = getattr(cfg, "strategy", "backward")
-            if strategy not in SOA_STRATEGIES:
+            if cfg.strategy not in SOA_STRATEGIES:
                 raise ValueError(
                     f"MultiKRR supports strategies {SOA_STRATEGIES}; "
-                    f"{strategy!r} needs the scalar engine (ModelSweep)"
+                    f"{cfg.strategy!r} needs the scalar engine (ModelSweep)"
                 )
-            if getattr(cfg, "track_sizes", False):
+            if cfg.track_sizes:
                 raise ValueError(
                     "MultiKRR does not track byte distances; "
                     "use ModelSweep for track_sizes grids"
                 )
-            check_sampling_size(int(cfg.k))  # type: ignore[attr-defined]
+            check_sampling_size(int(cfg.k))
         self.seed = int(seed)
         # Explicit per-cell seeds override the positional spawn — this is
         # how a resumed fleet runs only the *missing* subset of a grid
@@ -237,7 +240,7 @@ class MultiKRR:
     ) -> "MultiKRR":
         """Cross-product grid, same cell order as ``ModelSweep.grid``."""
         configs = [
-            GridConfig(k=int(k), strategy=s, sampling_rate=r, correction=correction)
+            SweepConfig(k=int(k), strategy=s, sampling_rate=r, correction=correction)
             for k, s, r in product(ks, strategies, sampling_rates)
         ]
         return cls(configs, seed=seed)
@@ -261,7 +264,7 @@ class MultiKRR:
         chunk_size: int = DEFAULT_CHUNK,
         use_native: Optional[bool] = None,
         stream: Optional[Iterable[Trace]] = None,
-    ) -> List[GridResult]:
+    ) -> List[SweepResult]:
         """Evaluate every cell in one streaming pass; ordered like ``configs``.
 
         ``plan`` supplies a prepared :class:`~repro.engine.plan.TracePlan`
@@ -337,7 +340,7 @@ class MultiKRR:
         stream: Iterable[Trace],
         max_size: Optional[int],
         use_native: Optional[bool],
-    ) -> List[GridResult]:
+    ) -> List[SweepResult]:
         """Out-of-core half of :meth:`run`: per-chunk interning and masks."""
         from ..engine.plan import StreamingTracePlan
 
@@ -372,22 +375,21 @@ class MultiKRR:
         samplers: Dict[_MaskKey, SpatialSampler] = {}
         cells: List[_Cell] = []
         for c, cfg in enumerate(self.configs):
-            rate = getattr(cfg, "sampling_rate", None)
             mask_key: Optional[_MaskKey] = None
             scale = 1.0
-            if rate is not None:
-                sampler = SpatialSampler(float(rate))
+            if cfg.sampling_rate is not None:
+                sampler = SpatialSampler(float(cfg.sampling_rate))
                 scale = sampler.scale
                 mask_key = (sampler.seed, sampler.modulus, sampler.threshold)
                 samplers.setdefault(mask_key, sampler)
             effective_k = (
-                corrected_k(int(cfg.k), DEFAULT_EXPONENT)  # type: ignore[attr-defined]
-                if getattr(cfg, "correction", True)
-                else float(int(cfg.k))  # type: ignore[attr-defined]
+                corrected_k(int(cfg.k), DEFAULT_EXPONENT)
+                if cfg.correction
+                else float(int(cfg.k))
             )
             stack = SoAKRRStack(
                 effective_k,
-                strategy=getattr(cfg, "strategy", "backward"),
+                strategy=cfg.strategy,
                 rng=seeds[c],
                 use_native=use_native,
                 stack_buffer=None if stack_block is None else stack_block[c],
@@ -400,16 +402,16 @@ class MultiKRR:
 
     def _collect_results(
         self, cells: List[_Cell], n: int, max_size: Optional[int]
-    ) -> List[GridResult]:
-        results: List[GridResult] = []
+    ) -> List[SweepResult]:
+        results: List[SweepResult] = []
         for cell in cells:
             curve = from_distance_histogram(
                 cell.hist,
                 max_size=max_size,
-                label=f"KRR(K={int(cell.config.k)})",  # type: ignore[attr-defined]
+                label=f"KRR(K={int(cell.config.k)})",
             )
             results.append(
-                GridResult(
+                SweepResult(
                     config=cell.config,
                     seed=cell.seed,
                     sizes=curve.sizes,

@@ -1,36 +1,40 @@
-"""repro.engine — shared-memory parallel modeling engine.
+"""repro.engine — grid sweeps, fleet scheduling and their fault tolerance.
 
-Five pieces:
+Seven pieces:
 
 * :mod:`repro.engine.plan` — :class:`TracePlan`: every trace-global
   preparation pass (batched hashes, sampling masks per rate, dense key
-  factorization, occurrence indices) computed once, cached by trace
-  fingerprint, and publishable as zero-copy shared-memory columns.
-
-* :mod:`repro.engine.shm` — :class:`SharedTraceStore` /
-  :class:`AttachedTrace`: trace columns mapped into worker processes via
-  ``multiprocessing.shared_memory`` instead of being pickled per worker,
-  with an atexit/SIGTERM registry that unlinks segments even when the
-  parent dies mid-sweep.
+  factorization, occurrence indices) computed once and cached by trace
+  fingerprint, plus :class:`StreamingTracePlan`, its per-chunk sibling
+  for streamed traces.
+* :mod:`repro.engine.sweep` — :class:`ModelSweep`: a grid of
+  (K, strategy, sampling-rate) KRR configurations over one trace,
+  evaluated in-process by :func:`~repro.engine.sweep.run_grid` — one
+  streamed :class:`~repro.core.vkrr.MultiKRR` pass for the SoA-capable
+  cells and one scalar pass for the rest — with per-configuration seeds
+  derived up front and JSONL checkpoint/resume via
+  :class:`SweepCheckpoint`.
+* :mod:`repro.engine.fleet` — :class:`FleetSweep`: many traces × one
+  config grid, one resilient worker task per trace running the same
+  ``run_grid`` body out-of-core, with hierarchical (fleet-manifest +
+  per-trace JSONL) checkpoints resumable at both the trace and grid-cell
+  level.
+* :mod:`repro.engine.checkpoint` — :class:`SweepCheckpoint`: the
+  append-only, fsynced JSONL row store behind both resumes.
 * :mod:`repro.engine.runner` — :class:`ResilientRunner`: per-task
   timeouts, bounded retries with backoff, automatic pool rebuild on
   worker death, graceful degradation to serial execution, and a
   structured :class:`RunReport` for every run.
-* :mod:`repro.engine.sweep` — :class:`ModelSweep`: evaluate a grid of
-  (K, strategy, sampling-rate) KRR configurations across a process pool
-  in one call, with per-configuration seeds derived up front so results
-  are bit-identical regardless of worker count *or* recovery path, plus
-  JSONL checkpoint/resume via :class:`SweepCheckpoint`.
-* :mod:`repro.engine.fleet` — :class:`FleetSweep`: the transpose of
-  :class:`ModelSweep` at scale — many traces × one config grid, each
-  trace streamed out-of-core inside its worker, with hierarchical
-  (fleet-manifest + per-trace JSONL) checkpoints resumable at both the
-  trace and grid-cell level.
+* :mod:`repro.engine.shm` — :class:`SharedTraceStore` /
+  :class:`AttachedTrace`: trace columns mapped into worker processes via
+  ``multiprocessing.shared_memory`` instead of being pickled per worker,
+  with an atexit/SIGTERM registry that unlinks segments even when the
+  parent dies mid-run.
 * :mod:`repro.engine.faults` — deterministic fault injection
   (``REPRO_FAULTS``) used by the tests to prove every recovery path.
 
 The ground-truth simulation sweep (:func:`repro.simulator.parallel_klru_mrc`)
-runs on the same shared-memory store and resilient runner.
+runs on the shared-memory store and the resilient runner.
 """
 
 from .checkpoint import CheckpointMismatch, SweepCheckpoint

@@ -1,19 +1,18 @@
 """FleetSweep: (trace × config-grid) scheduling at fleet scale.
 
-:class:`~repro.engine.sweep.ModelSweep` parallelizes one trace across a
-config grid; a capacity-planning fleet asks the transpose at scale:
-*hundreds of traces*, each against the same grid, with any trace too big
-to materialize.  :class:`FleetSweep` schedules one resilient task per
-trace — each worker opens its trace as a bounded-memory
-:class:`~repro.workloads.stream.TraceStream` and evaluates the whole
-grid in at most two streaming passes:
+:class:`~repro.engine.sweep.ModelSweep` evaluates a config grid over one
+trace; a capacity-planning fleet asks the same at scale: *hundreds of
+traces*, each against the same grid, with any trace too big to
+materialize.  Parallelism lives on the trace axis: :class:`FleetSweep`
+schedules one resilient task per trace, and each worker runs the
+engine's one grid body, :func:`~repro.engine.sweep.run_grid`, over its
+trace opened as a bounded-memory
+:class:`~repro.workloads.stream.TraceStream` — one streamed
+:class:`~repro.core.vkrr.MultiKRR` pass for the SoA-capable cells and
+one shared scalar pass for the rest (``topdown``, ``track_sizes``).
 
-* SoA-capable cells (``backward``/``linear``, object granularity) run as
-  one streamed :class:`~repro.core.vkrr.MultiKRR` pass — every cell
-  consumes each chunk while it is hot, sharing the incremental interner
-  and per-chunk hash columns;
-* the remaining scalar cells (``topdown``, ``track_sizes``) share a
-  second pass, every model fed chunk by chunk.
+A path source is identified by its path; an in-memory :class:`Trace` by
+its name, length and the CRC32 of its columns.
 
 **Hierarchical checkpoints.**  Under ``checkpoint_dir`` the fleet writes
 a ``fleet.json`` manifest (validated on resume: seed, grid, trace list)
@@ -40,17 +39,14 @@ from itertools import product
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from ..core.model import KRRModel
-from ..core.vkrr import MultiKRR, spawn_seeds
-from ..stack.soa import SOA_STRATEGIES
-from ..workloads.stream import DEFAULT_CHUNK, open_trace_stream
+from ..core.vkrr import spawn_seeds
+from ..workloads.stream import DEFAULT_CHUNK
 from ..workloads.trace import Trace
-from .checkpoint import CheckpointMismatch, Row, SweepCheckpoint, _fsync_dir
+from .checkpoint import CheckpointMismatch, SweepCheckpoint, _fsync_dir
 from .faults import maybe_inject
+from .plan import trace_fingerprint
 from .runner import ResilientRunner, RunReport, resolve_workers
-from .sweep import SweepConfig, SweepResult
+from .sweep import SweepConfig, SweepResult, checkpointed_results, run_grid
 
 __all__ = [
     "FleetSweep",
@@ -66,7 +62,7 @@ _MANIFEST_VERSION = 1
 #: One fleet worker payload: everything a trace task needs, picklable.
 _Payload = Tuple[
     int,  # trace index
-    object,  # source (path string or Trace)
+    Union[str, Trace],  # source
     Tuple[SweepConfig, ...],
     int,  # per-trace grid seed
     Optional[int],  # max_size
@@ -89,23 +85,20 @@ class FleetTraceResult:
 
 
 def _source_label(source: object) -> str:
-    """Stable string identity for a trace source (checkpoint signatures)."""
+    """Stable string identity for a trace source (checkpoint signatures).
+
+    An in-memory trace is identified by its columns' CRC32 as well as its
+    name and length; a path source by its path.
+    """
     if isinstance(source, Trace):
-        return f"<trace:{source.name}:{len(source)}>"
+        return f"<trace:{source.name}:{len(source)}:{trace_fingerprint(source)}>"
     return str(source)
 
 
-def _soa_capable(config: SweepConfig) -> bool:
-    return config.strategy in SOA_STRATEGIES and not config.track_sizes
-
-
-def _fleet_one(payload: _Payload) -> Tuple[int, List[Row], Dict[str, int]]:
+def _fleet_one(payload: _Payload) -> Tuple[int, List[SweepResult], int]:
     """Evaluate one trace's full grid inside a fleet worker.
 
-    Loads the per-trace checkpoint first and computes only the missing
-    cells, streaming the trace from disk; every fresh row is appended
-    durably as soon as its pass completes, so a crash mid-trace loses at
-    most the unfinished pass.
+    Returns ``(trace index, results, cells resumed from the checkpoint)``.
     """
     (
         index,
@@ -120,87 +113,19 @@ def _fleet_one(payload: _Payload) -> Tuple[int, List[Row], Dict[str, int]]:
     ) = payload
     maybe_inject(index)
     ckpt: Optional[SweepCheckpoint] = None
-    rows: Dict[int, Row] = {}
     if ckpt_path is not None:
         assert signature is not None
         ckpt = SweepCheckpoint(ckpt_path, signature)
-        rows = ckpt.load()
-    resumed = len(rows)
-    seeds = spawn_seeds(len(configs), grid_seed)
-    missing = [i for i in range(len(configs)) if i not in rows]
-    if missing:
-        stream = open_trace_stream(source, chunk_size, errors)
-        soa_cells = [i for i in missing if _soa_capable(configs[i])]
-        scalar_cells = [i for i in missing if not _soa_capable(configs[i])]
-        if soa_cells:
-            # One streamed pass evaluates every SoA cell; explicit seeds
-            # keep each cell on its original grid position's stream even
-            # when only a subset of the grid is missing (resume).
-            grid = MultiKRR(
-                [configs[i] for i in soa_cells],
-                seeds=[seeds[i] for i in soa_cells],
-            )
-            for i, res in zip(soa_cells, grid.run(stream=stream, max_size=max_size)):
-                row: Row = (
-                    i,
-                    res.sizes,
-                    res.miss_ratios,
-                    res.unit,
-                    {
-                        "requests_seen": res.requests_seen,
-                        "requests_sampled": res.requests_sampled,
-                        "cold_misses": res.cold_misses,
-                        "stack_updates": res.stack_updates,
-                        "swap_positions": res.swap_positions,
-                    },
-                )
-                rows[i] = row
-                if ckpt is not None:
-                    ckpt.append(row)
-        if scalar_cells:
-            # The scalar cells share one more streamed pass: every model
-            # consumes each chunk while it is hot.
-            models = {
-                i: KRRModel(
-                    k=configs[i].k,
-                    strategy=configs[i].strategy,
-                    sampling_rate=configs[i].sampling_rate,
-                    correction=configs[i].correction,
-                    track_sizes=configs[i].track_sizes,
-                    seed=seeds[i],
-                )
-                for i in scalar_cells
-            }
-            for chunk in stream:
-                sizes = chunk.sizes.tolist()
-                for model in models.values():
-                    model.access_many(chunk.keys, sizes, engine="scalar")
-            for i, model in models.items():
-                if configs[i].track_sizes:
-                    curve = model.byte_mrc()
-                    unit = "bytes"
-                else:
-                    curve = model.mrc(max_size=max_size)
-                    unit = "objects"
-                s = model.stats
-                row = (
-                    i,
-                    curve.sizes,
-                    curve.miss_ratios,
-                    unit,
-                    {
-                        "requests_seen": s.requests_seen,
-                        "requests_sampled": s.requests_sampled,
-                        "cold_misses": s.cold_misses,
-                        "stack_updates": s.stack_updates,
-                        "swap_positions": s.swap_positions,
-                    },
-                )
-                rows[i] = row
-                if ckpt is not None:
-                    ckpt.append(row)
-    ordered = [rows[i] for i in range(len(configs))]
-    return index, ordered, {"resumed": resumed, "computed": len(missing)}
+    results, resumed = run_grid(
+        source,
+        configs,
+        spawn_seeds(len(configs), grid_seed),
+        max_size,
+        ckpt,
+        chunk_size,
+        errors,
+    )
+    return index, results, resumed
 
 
 class FleetSweep:
@@ -324,19 +249,16 @@ class FleetSweep:
         # Fleet-level resume: traces whose checkpoint already holds every
         # grid row never reach a worker (so crash-injection latches and
         # retry budgets are not re-spent on finished work).
-        completed: Dict[int, Tuple[int, List[Row], Dict[str, int]]] = {}
+        completed: Dict[int, Tuple[int, List[SweepResult], int]] = {}
         if ckpt_dir is not None:
             for i, payload in enumerate(payloads):
                 assert payload[7] is not None
                 ckpt = SweepCheckpoint(Path(payload[6] or ""), payload[7])
-                rows = ckpt.load()
-                if len(rows) == len(self.configs):
-                    ordered = [rows[j] for j in range(len(self.configs))]
-                    completed[i] = (
-                        i,
-                        ordered,
-                        {"resumed": len(rows), "computed": 0},
-                    )
+                seeds = spawn_seeds(len(self.configs), grid_seeds[i])
+                done = checkpointed_results(ckpt, self.configs, seeds)
+                if len(done) == len(self.configs):
+                    ordered = [done[j] for j in range(len(self.configs))]
+                    completed[i] = (i, ordered, len(done))
 
         runner = ResilientRunner(
             _fleet_one,
@@ -348,29 +270,16 @@ class FleetSweep:
         )
         raw, report = runner.run(payloads, completed=completed)
 
-        results: List[FleetTraceResult] = []
-        for i, (index, rows, counters) in enumerate(raw):
-            seeds = spawn_seeds(len(self.configs), grid_seeds[i])
-            trace_results = [
-                SweepResult(
-                    config=self.configs[j],
-                    seed=seeds[j],
-                    sizes=np.asarray(sizes),
-                    miss_ratios=np.asarray(ratios),
-                    unit=unit,
-                    **stats,
-                )
-                for j, sizes, ratios, unit, stats in rows
-            ]
-            results.append(
-                FleetTraceResult(
-                    index=index,
-                    source=labels[i],
-                    results=trace_results,
-                    resumed_cells=int(counters.get("resumed", 0)),
-                    computed_cells=int(counters.get("computed", 0)),
-                )
+        results = [
+            FleetTraceResult(
+                index=index,
+                source=labels[index],
+                results=trace_results,
+                resumed_cells=resumed,
+                computed_cells=len(self.configs) - resumed,
             )
+            for index, trace_results, resumed in raw
+        ]
         return results, report
 
     # ------------------------------------------------------------------

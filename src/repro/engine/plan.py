@@ -1,15 +1,14 @@
 """TracePlan: all trace-global preparation, computed once and shared.
 
 Every consumer of a trace repeats the same preparation: spatial sampling
-hashes the key column, the batch kernels factorize keys and build
-previous-occurrence indices, and a :class:`~repro.engine.sweep.ModelSweep`
-does all of it once *per grid cell*.  :class:`TracePlan` hoists that work
-to a single vectorized pass per trace:
+hashes the key column, and the batch kernels factorize keys and build
+previous-occurrence indices.  :class:`TracePlan` hoists that work to a
+single vectorized pass per trace:
 
 * **hash columns** — batched ``splitmix64`` over the keys, one column per
   hash seed, from which every spatial-sampling mask is a single compare;
 * **sampling masks/indices** — cached per ``(seed, modulus, threshold)``
-  so a sweep with repeated rates filters each rate exactly once;
+  so models that repeat a rate filter the trace for it exactly once;
 * **dense key factorization** — ``key_ids`` in ``[0, U)`` plus the unique
   key table;
 * **occurrence indices** — previous/next-occurrence columns feeding the
@@ -18,11 +17,10 @@ to a single vectorized pass per trace:
 
 Plans are cached by the trace's CRC32 fingerprint — the same fingerprint
 :class:`~repro.engine.checkpoint.SweepCheckpoint` uses — so repeated
-models over one trace (a sweep, a benchmark loop) hit the cache.  The
-columns are plain ``int64``/``uint64`` arrays, which is what lets
-:class:`~repro.engine.shm.SharedTraceStore` publish them zero-copy next
-to the trace columns: every pool worker then *attaches* the finished
-preparation instead of redoing it.
+models over one trace (``KRRModel.process(plan=...)``, SHARDS, the exact
+LRU oracles, a benchmark loop) hit the cache.  Grid evaluators stream
+instead: :class:`StreamingTracePlan` computes the same columns chunk by
+chunk.
 
 All fields are lazy: a plan built only for sampling never pays for the
 factorization argsort, and vice versa.
@@ -95,30 +93,6 @@ class TracePlan:
             _PLAN_CACHE.move_to_end(key)
         return plan
 
-    @classmethod
-    def from_columns(
-        cls,
-        keys: np.ndarray,
-        fingerprint: int,
-        *,
-        key_ids: np.ndarray,
-        prev: np.ndarray,
-        hashes: np.ndarray,
-        hash_seed: int = 0,
-    ) -> "TracePlan":
-        """Rehydrate a plan from precomputed (e.g. shared-memory) columns.
-
-        The unique-key table is not shipped across processes; consumers
-        that need it (none of the hot paths do) trigger a local rebuild.
-        """
-        plan = cls(keys, fingerprint)
-        plan._key_ids = np.ascontiguousarray(key_ids, dtype=np.int64)
-        plan._prev = np.ascontiguousarray(prev, dtype=np.int64)
-        plan._hashes[int(hash_seed)] = np.ascontiguousarray(
-            hashes, dtype=np.uint64
-        )
-        return plan
-
     # ------------------------------------------------------------------
     # lazy columns
     # ------------------------------------------------------------------
@@ -156,9 +130,6 @@ class TracePlan:
 
     @property
     def n_unique_keys(self) -> int:
-        if self._key_ids is not None and self._unique_keys is None:
-            # Rehydrated from shared columns: the id range is the count.
-            return int(self._key_ids.max()) + 1 if self.n_requests else 0
         return int(self.unique_keys.shape[0])
 
     @property
@@ -211,7 +182,7 @@ class TracePlan:
 
     # ------------------------------------------------------------------
     def materialize(self) -> None:
-        """Force the shareable columns (ids, prev, seed-0 hashes)."""
+        """Force the common columns (ids, prev, seed-0 hashes) up front."""
         _ = self.key_ids
         _ = self.prev_occurrence
         _ = self.hashes(0)

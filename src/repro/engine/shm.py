@@ -1,6 +1,6 @@
 """Shared-memory trace store: map trace columns into workers, don't pickle.
 
-Ground-truth sweeps and model fan-outs are embarrassingly parallel, but the
+Ground-truth simulation sweeps are embarrassingly parallel, but the
 naive ``ProcessPoolExecutor`` recipe serializes the full trace arrays into
 every worker — for a 500k-request trace that is ~8 MB pickled per worker,
 paid again for every pool.  :class:`SharedTraceStore` instead places the
@@ -14,15 +14,8 @@ Layout of the block for an ``n``-request trace::
 
     [ keys  : n x int64 ][ sizes : n x int64 ][ ops : n x int8 ]
 
-A store created with a :class:`~repro.engine.plan.TracePlan` additionally
-publishes the plan's precomputed preparation columns — dense key ids,
-previous-occurrence indices and the seed-0 ``splitmix64`` hash column —
-so every worker attaches one finished preparation pass instead of redoing
-it per task.  The plan layout keeps the 8-byte columns aligned by moving
-the ``int8`` ops column to the end::
-
-    [ keys ][ sizes ][ key_ids : n x int64 ][ prev : n x int64 ]
-    [ hashes : n x uint64 ][ ops : n x int8 ]
+Users: :func:`repro.simulator.parallel.parallel_klru_mrc` (per-size
+simulation workers) and the service daemon's large-batch ingest.
 
 Lifetime contract: the *creator* owns the segment and must call
 :meth:`SharedTraceStore.close` (or use it as a context manager) after the
@@ -54,7 +47,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..workloads.trace import Trace
-from .plan import TracePlan
 
 __all__ = [
     "AttachedTrace",
@@ -160,43 +152,28 @@ class TraceSpec:
     """Picklable handle for a shared-memory resident trace.
 
     This is all that crosses the process boundary: the OS-level segment
-    name, the request count (the layout is a pure function of it and the
-    ``with_plan`` flag), the trace's display name, and — when preparation
-    columns are published — the trace fingerprint they belong to.
+    name, the request count (the layout is a pure function of it), and
+    the trace's display name.
     """
 
     shm_name: str
     n_requests: int
     trace_name: str = "trace"
-    with_plan: bool = False
-    fingerprint: int = 0
 
     @property
     def nbytes(self) -> int:
         """Total block size for this spec's layout."""
-        per_request = 41 if self.with_plan else 17
-        return max(1, self.n_requests * per_request)
+        return max(1, self.n_requests * 17)
 
 
 def _column_views(
-    buf: memoryview, n: int, with_plan: bool = False
+    buf: memoryview, n: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(keys, sizes, ops) ndarray views over a shared buffer."""
     keys = np.ndarray((n,), dtype=np.int64, buffer=buf, offset=0)
     sizes = np.ndarray((n,), dtype=np.int64, buffer=buf, offset=8 * n)
-    ops_offset = 40 * n if with_plan else 16 * n
-    ops = np.ndarray((n,), dtype=np.int8, buffer=buf, offset=ops_offset)
+    ops = np.ndarray((n,), dtype=np.int8, buffer=buf, offset=16 * n)
     return keys, sizes, ops
-
-
-def _plan_views(
-    buf: memoryview, n: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(key_ids, prev_occurrence, hashes) views over a plan-layout buffer."""
-    key_ids = np.ndarray((n,), dtype=np.int64, buffer=buf, offset=16 * n)
-    prev = np.ndarray((n,), dtype=np.int64, buffer=buf, offset=24 * n)
-    hashes = np.ndarray((n,), dtype=np.uint64, buffer=buf, offset=32 * n)
-    return key_ids, prev, hashes
 
 
 class SharedTraceStore:
@@ -210,33 +187,18 @@ class SharedTraceStore:
     Usable as a context manager; ``close()`` is idempotent.
     """
 
-    def __init__(self, trace: Trace, plan: Optional["TracePlan"] = None) -> None:
+    def __init__(self, trace: Trace) -> None:
         n = len(trace)
-        with_plan = plan is not None
         # Placeholder spec until the segment exists and has a name.
-        self.spec = TraceSpec("", n, trace.name, with_plan=with_plan)
+        self.spec = TraceSpec("", n, trace.name)
         self._shm = shared_memory.SharedMemory(
             create=True, size=self.spec.nbytes
         )
-        self.spec = TraceSpec(
-            self._shm.name,
-            n,
-            trace.name,
-            with_plan=with_plan,
-            fingerprint=plan.fingerprint if plan is not None else 0,
-        )
-        keys, sizes, ops = _column_views(self._shm.buf, n, with_plan)
+        self.spec = TraceSpec(self._shm.name, n, trace.name)
+        keys, sizes, ops = _column_views(self._shm.buf, n)
         keys[:] = trace.keys
         sizes[:] = trace.sizes
         ops[:] = trace.ops
-        if plan is not None:
-            if plan.n_requests != n:
-                raise ValueError("plan does not belong to this trace")
-            plan.materialize()
-            key_ids, prev, hashes = _plan_views(self._shm.buf, n)
-            key_ids[:] = plan.key_ids
-            prev[:] = plan.prev_occurrence
-            hashes[:] = plan.hashes(0)
         self._views: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = (
             keys,
             sizes,
@@ -302,10 +264,9 @@ class AttachedTrace:
         self.spec = spec
         self._shm = shared_memory.SharedMemory(name=spec.shm_name)
         self._views: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = (
-            _column_views(self._shm.buf, spec.n_requests, spec.with_plan)
+            _column_views(self._shm.buf, spec.n_requests)
         )
         self._lists: Optional[Tuple[List[int], List[int]]] = None
-        self._plan: Optional[TracePlan] = None
         self._closed = False
 
     def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,29 +298,6 @@ class AttachedTrace:
             self._lists = (keys.tolist(), sizes.tolist())
         return self._lists
 
-    def plan(self) -> TracePlan:
-        """Zero-copy :class:`TracePlan` over the shared preparation columns.
-
-        Only available when the creating store published a plan
-        (``spec.with_plan``); the plan's eager columns are views into the
-        shared block, so attaching it costs nothing per worker.
-        """
-        if not self.spec.with_plan:
-            raise ValueError("store was created without a TracePlan")
-        if self._plan is None:
-            keys, _, _ = self._columns()
-            key_ids, prev, hashes = _plan_views(
-                self._shm.buf, self.spec.n_requests
-            )
-            self._plan = TracePlan.from_columns(
-                keys,
-                self.spec.fingerprint,
-                key_ids=key_ids,
-                prev=prev,
-                hashes=hashes,
-            )
-        return self._plan
-
     def close(self) -> None:
         """Release this process's mapping (does not unlink)."""
         if self._closed:
@@ -367,7 +305,6 @@ class AttachedTrace:
         self._closed = True
         self._views = None
         self._lists = None
-        self._plan = None
         self._shm.close()
 
     def __enter__(self) -> "AttachedTrace":

@@ -1,48 +1,50 @@
-"""ModelSweep: evaluate a grid of KRR configurations in one parallel call.
+"""ModelSweep: a grid of KRR configurations over one trace, in one pass.
 
 Capacity planning rarely wants a single model: "what does the MRC look
 like for K in {1, 2, 5, 10}, with and without spatial sampling?" is the
-natural question, and each (K, strategy, rate) configuration is an
-independent one-pass model over the same trace.  :class:`ModelSweep` fans
-that grid out over a process pool with the trace mapped — not pickled —
-into every worker via :class:`~repro.engine.shm.SharedTraceStore`.
+natural question.  KRR is a stack algorithm, so one pass over a trace
+yields a whole curve, and :class:`~repro.core.vkrr.MultiKRR` extends that
+to a whole grid.  :func:`run_grid` is the engine's one grid body:
+:class:`ModelSweep` calls it in-process for one trace, and every
+:class:`~repro.engine.fleet.FleetSweep` worker calls it once per trace.
+It streams the trace at most twice:
 
-Determinism: every configuration's model seed is derived *up front* from
-the sweep seed via :class:`numpy.random.SeedSequence` spawning, indexed by
-the configuration's position in the grid.  Worker count, scheduling order
-and chunking therefore cannot change any result: ``max_workers=1`` and
-``max_workers=8`` produce bit-identical miss-ratio grids — and so do the
-fault-recovery paths (retry, pool rebuild, degradation to serial) taken by
-the :class:`~repro.engine.runner.ResilientRunner` underneath
-:meth:`ModelSweep.run`.
+* the SoA-capable cells (``backward``/``linear``, object granularity)
+  run as one :class:`~repro.core.vkrr.MultiKRR` pass — every cell
+  consumes each chunk while it is hot, sharing the interner and the
+  per-chunk hash columns;
+* the remaining scalar cells (``topdown``, ``track_sizes``) share one
+  more pass, one :class:`~repro.core.model.KRRModel` per cell.
 
-Fault tolerance: :meth:`ModelSweep.run_with_report` drives the grid
-through the resilient runner (per-task timeout, bounded retries, pool
-rebuild on worker death, serial fallback), streams each finished row to
-an optional JSONL checkpoint for resume, and returns a structured
-:class:`~repro.engine.runner.RunReport` next to the results.
+Determinism: every configuration's model seed is derived up front from
+the sweep seed with :func:`~repro.core.vkrr.spawn_seeds`, by the
+configuration's grid position, and handed to its pass explicitly.  The
+split into passes, the chunk size and resume therefore cannot change any
+result: each cell is bit-identical to an independent ``KRRModel.process``
+run with its seed.
+
+Resume: ``checkpoint`` names a JSON-lines
+:class:`~repro.engine.checkpoint.SweepCheckpoint` keyed on the sweep
+seed, the grid, ``max_size`` and a CRC of the trace columns.  Each pass
+appends its rows durably as soon as it completes, so a crash loses at
+most the unfinished pass, and a rerun recomputes only the grid positions
+missing from the file, on their original seeds.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.model import KRRModel
-from ..core.vkrr import spawn_seeds
-from ..mrc.builder import from_points
-from ..mrc.curve import MissRatioCurve
+from ..core.vkrr import MultiKRR, SweepConfig, SweepResult, spawn_seeds
+from ..stack.soa import SOA_STRATEGIES
+from ..workloads.stream import DEFAULT_CHUNK, TraceStream, open_trace_stream
 from ..workloads.trace import Trace
-from .checkpoint import SweepCheckpoint
-from .faults import maybe_inject
-from .plan import TracePlan, trace_fingerprint
-from .runner import ResilientRunner, RunReport, resolve_workers
-from .shm import AttachedTrace, SharedTraceStore, TraceSpec
+from .checkpoint import Row, SweepCheckpoint
+from .plan import trace_fingerprint
 
 __all__ = [
     "ModelSweep",
@@ -51,116 +53,139 @@ __all__ = [
     "model_sweep",
 ]
 
+#: The counters a checkpoint row carries, in ``SweepResult`` field order.
+_COUNTERS = (
+    "requests_seen",
+    "requests_sampled",
+    "cold_misses",
+    "stack_updates",
+    "swap_positions",
+)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """One point of the sweep grid: a full KRR model configuration."""
-
-    k: int = 5
-    strategy: str = "backward"
-    sampling_rate: Optional[float] = None
-    correction: bool = True
-    track_sizes: bool = False
-
-    def label(self) -> str:
-        rate = "full" if self.sampling_rate is None else f"R={self.sampling_rate:g}"
-        return f"K={self.k}/{self.strategy}/{rate}"
+def _soa_capable(config: SweepConfig) -> bool:
+    return config.strategy in SOA_STRATEGIES and not config.track_sizes
 
 
-@dataclass
-class SweepResult:
-    """One configuration's finished model: its curve points plus counters."""
-
-    config: SweepConfig
-    seed: int
-    sizes: np.ndarray
-    miss_ratios: np.ndarray
-    unit: str = "objects"
-    requests_seen: int = 0
-    requests_sampled: int = 0
-    cold_misses: int = 0
-    stack_updates: int = 0
-    swap_positions: int = 0
-
-    def mrc(self) -> MissRatioCurve:
-        return from_points(
-            self.sizes, self.miss_ratios, unit=self.unit, label=self.config.label()
+def checkpointed_results(
+    checkpoint: SweepCheckpoint,
+    configs: Sequence[SweepConfig],
+    seeds: Sequence[int],
+) -> Dict[int, SweepResult]:
+    """The rows ``checkpoint`` already holds, as results by grid position."""
+    return {
+        i: SweepResult(
+            config=configs[i],
+            seed=seeds[i],
+            sizes=sizes,
+            miss_ratios=ratios,
+            unit=unit,
+            **stats,
         )
-
-
-# ----------------------------------------------------------------------
-# Worker plumbing.  The trace reaches workers one of two ways: attached
-# from shared memory (pool initializer) or installed directly (serial
-# in-process path).  Either way `_model_one` reads the module global.
-# ----------------------------------------------------------------------
-_WORKER_TRACE: Optional[Trace] = None
-_WORKER_ATTACHED: Optional[AttachedTrace] = None
-_WORKER_PLAN: Optional[TracePlan] = None
-
-
-def _init_sweep_worker(spec: TraceSpec) -> None:
-    global _WORKER_TRACE, _WORKER_ATTACHED, _WORKER_PLAN
-    _WORKER_ATTACHED = AttachedTrace(spec)
-    _WORKER_TRACE = _WORKER_ATTACHED.as_trace()
-    _WORKER_PLAN = _WORKER_ATTACHED.plan() if spec.with_plan else None
-
-
-def _install_trace(
-    trace: Optional[Trace], plan: Optional[TracePlan] = None
-) -> None:
-    global _WORKER_TRACE, _WORKER_ATTACHED, _WORKER_PLAN
-    _WORKER_TRACE = trace
-    _WORKER_ATTACHED = None
-    _WORKER_PLAN = plan
-
-
-def _model_one(
-    args: Tuple[int, SweepConfig, int, Optional[int], str]
-) -> Tuple[int, np.ndarray, np.ndarray, str, dict]:
-    """Run one configuration against the worker's trace; return raw arrays."""
-    index, config, seed, max_size, engine = args
-    maybe_inject(index)
-    trace = _WORKER_TRACE
-    if trace is None:  # pragma: no cover - initializer contract violation
-        raise RuntimeError("sweep worker has no trace installed")
-    model = KRRModel(
-        k=config.k,
-        strategy=config.strategy,
-        sampling_rate=config.sampling_rate,
-        correction=config.correction,
-        track_sizes=config.track_sizes,
-        seed=seed,
-    )
-    result = model.process(trace, plan=_WORKER_PLAN, engine=engine)
-    if config.track_sizes:
-        curve = result.byte_mrc()
-        unit = "bytes"
-    else:
-        curve = result.mrc(max_size=max_size)
-        unit = "objects"
-    s = model.stats
-    stats = {
-        "requests_seen": s.requests_seen,
-        "requests_sampled": s.requests_sampled,
-        "cold_misses": s.cold_misses,
-        "stack_updates": s.stack_updates,
-        "swap_positions": s.swap_positions,
+        for i, sizes, ratios, unit, stats in checkpoint.load().values()
     }
-    return index, curve.sizes, curve.miss_ratios, unit, stats
 
 
-def _model_batch(
-    payloads: Tuple[Tuple[int, SweepConfig, int, Optional[int], str], ...]
-) -> List[Tuple[int, np.ndarray, np.ndarray, str, dict]]:
-    """Run several grid cells in one worker round-trip (task batching).
+def _row(index: int, result: SweepResult) -> Row:
+    stats = {name: getattr(result, name) for name in _COUNTERS}
+    return (index, result.sizes, result.miss_ratios, result.unit, stats)
 
-    Each cell still goes through :func:`_model_one` with its own
-    position-derived seed, so batching changes scheduling only — never
-    results.  Fewer, larger tasks amortize the submit/result IPC that
-    dominates small sweeps.
+
+def _soa_pass(
+    stream: TraceStream,
+    configs: List[SweepConfig],
+    seeds: List[int],
+    max_size: Optional[int],
+) -> List[SweepResult]:
+    # Explicit seeds keep each cell on its grid position's stream even
+    # when only a subset of the grid is missing (resume).
+    return MultiKRR(configs, seeds=seeds).run(stream=stream, max_size=max_size)
+
+
+def _scalar_pass(
+    stream: TraceStream,
+    configs: List[SweepConfig],
+    seeds: List[int],
+    max_size: Optional[int],
+) -> List[SweepResult]:
+    models = [
+        KRRModel(
+            k=config.k,
+            strategy=config.strategy,
+            sampling_rate=config.sampling_rate,
+            correction=config.correction,
+            track_sizes=config.track_sizes,
+            seed=seed,
+        )
+        for config, seed in zip(configs, seeds)
+    ]
+    for chunk in stream:
+        sizes = chunk.sizes.tolist()
+        for model in models:
+            model.access_many(chunk.keys, sizes, engine="scalar")
+    results = []
+    for config, seed, model in zip(configs, seeds, models):
+        if config.track_sizes:
+            curve, unit = model.byte_mrc(), "bytes"
+        else:
+            curve, unit = model.mrc(max_size=max_size), "objects"
+        stats = model.stats
+        results.append(
+            SweepResult(
+                config=config,
+                seed=seed,
+                sizes=curve.sizes,
+                miss_ratios=curve.miss_ratios,
+                unit=unit,
+                **{name: getattr(stats, name) for name in _COUNTERS},
+            )
+        )
+    return results
+
+
+def run_grid(
+    source: Union[Trace, str, Path],
+    configs: Sequence[SweepConfig],
+    seeds: Sequence[int],
+    max_size: Optional[int] = None,
+    checkpoint: Optional[SweepCheckpoint] = None,
+    chunk_size: int = DEFAULT_CHUNK,
+    errors: str = "strict",
+) -> Tuple[List[SweepResult], int]:
+    """Evaluate one trace's grid: ``(results ordered like configs, resumed)``.
+
+    ``source`` is an in-memory :class:`Trace` or a trace path, opened with
+    :func:`~repro.workloads.stream.open_trace_stream` (``chunk_size`` and
+    ``errors`` go to the readers and cannot change results).  ``seeds``
+    are the per-cell model seeds by grid position.  Rows already in
+    ``checkpoint`` are reused — ``resumed`` counts them — and only the
+    missing cells are computed, each pass appending its rows durably
+    once it completes.
     """
-    return [_model_one(payload) for payload in payloads]
+    done: Dict[int, SweepResult] = {}
+    if checkpoint is not None:
+        done = checkpointed_results(checkpoint, configs, seeds)
+    results = dict(done)
+    missing = [i for i in range(len(configs)) if i not in done]
+    if missing:
+        stream = open_trace_stream(source, chunk_size, errors)
+        soa_cells = [i for i in missing if _soa_capable(configs[i])]
+        scalar_cells = [i for i in missing if not _soa_capable(configs[i])]
+        passes = ((soa_cells, _soa_pass), (scalar_cells, _scalar_pass))
+        for cells, run_pass in passes:
+            if not cells:
+                continue
+            fresh = run_pass(
+                stream,
+                [configs[i] for i in cells],
+                [seeds[i] for i in cells],
+                max_size,
+            )
+            for i, result in zip(cells, fresh):
+                results[i] = result
+                if checkpoint is not None:
+                    checkpoint.append(_row(i, result))
+    return [results[i] for i in range(len(configs))], len(done)
 
 
 class ModelSweep:
@@ -172,12 +197,12 @@ class ModelSweep:
         The grid points; build cross-products with :meth:`grid`.
     seed:
         Sweep-level seed.  Per-configuration model seeds are spawned from
-        it by grid position, so results are independent of worker count.
+        it by grid position.
 
     Example
     -------
     >>> sweep = ModelSweep.grid(ks=[1, 5], sampling_rates=[None, 0.01])
-    >>> results = sweep.run(trace, max_workers=4)
+    >>> results = sweep.run(trace)
     >>> results[0].config, float(results[0].miss_ratios[-1])  # doctest: +SKIP
     """
 
@@ -225,189 +250,25 @@ class ModelSweep:
     def run(
         self,
         trace: Trace,
-        max_workers: Optional[int] = None,
         max_size: Optional[int] = None,
-        **runner_kwargs: object,
+        checkpoint: Union[str, Path, None] = None,
     ) -> List[SweepResult]:
         """Evaluate every configuration; results ordered like ``configs``.
 
-        ``max_workers=None`` uses ``min(len(configs), cpu_count)``;
-        ``max_workers=1`` runs serially in-process (no pool, no shared
-        memory).  Either way the miss-ratio grids are bit-identical.
-        Keyword arguments (``task_timeout``, ``retries``, ``checkpoint``,
-        ``engine``, ...) are forwarded to :meth:`run_with_report`.
+        ``checkpoint`` names a JSON-lines file: each pass's rows stream to
+        it as the pass completes, and a rerun with the same sweep and
+        trace skips the grid positions already on disk (resume).
         """
-        results, _ = self.run_with_report(
-            trace, max_workers=max_workers, max_size=max_size, **runner_kwargs
+        ckpt: Optional[SweepCheckpoint] = None
+        if checkpoint is not None:
+            ckpt = SweepCheckpoint(checkpoint, self._signature(trace, max_size))
+        results, _ = run_grid(
+            trace, self.configs, self.config_seeds(), max_size, ckpt
         )
         return results
 
-    def run_with_report(
-        self,
-        trace: Trace,
-        max_workers: Optional[int] = None,
-        max_size: Optional[int] = None,
-        *,
-        task_timeout: Optional[float] = None,
-        retries: int = 2,
-        backoff: float = 0.5,
-        max_pool_rebuilds: int = 3,
-        checkpoint: Union[str, Path, None] = None,
-        chunk_size: Union[None, int, str] = None,
-        engine: str = "auto",
-    ) -> Tuple[List[SweepResult], RunReport]:
-        """Fault-tolerant evaluation: ``(results, RunReport)``.
-
-        The grid runs through a :class:`ResilientRunner`: each task gets
-        its own ``submit()`` with an optional ``task_timeout`` deadline,
-        transient failures retry up to ``retries`` times with exponential
-        ``backoff``, a dead pool is rebuilt up to ``max_pool_rebuilds``
-        times and then the remaining configs run serially in-process
-        (with a :class:`RuntimeWarning`).  None of it can change results:
-        per-config seeds are fixed by grid position.
-
-        ``chunk_size`` batches several grid cells into one pool task
-        (``"auto"`` spreads the remaining cells evenly over the workers).
-        Small sweeps of cheap configs are dominated by per-task IPC — the
-        measured source of the parallel-slower-than-serial regression on
-        low-core machines — and batching amortizes it.  Results are
-        bit-identical for every ``chunk_size``/worker combination because
-        each cell's seed is fixed by grid position; ``chunk_size`` does
-        not enter the checkpoint signature, so a resume may freely change
-        it.  ``None``/``1`` keeps the one-task-per-config schedule (finest
-        timeout/retry granularity).
-
-        When any configuration uses spatial sampling, the trace's
-        :class:`TracePlan` (batched hash column, per-rate sampled-index
-        cache) is built once and shared with every worker through the
-        shared-memory store, so no grid cell re-hashes the trace.
-
-        ``checkpoint`` names a JSON-lines file: finished rows stream to it
-        as they complete, and a rerun with the same sweep/trace skips the
-        grid positions already on disk (resume).
-
-        ``engine`` selects each cell's streaming implementation
-        (``"scalar"``, ``"soa"``, or ``"auto"``; see
-        :meth:`KRRModel.process`).  Like ``chunk_size`` it cannot change
-        results — both engines are draw-for-draw identical — so it is
-        absent from the checkpoint signature and a resume may switch it.
-        """
-        if engine not in ("auto", "scalar", "soa"):
-            raise ValueError(f"unknown engine {engine!r}")
-        seeds = self.config_seeds()
-        tasks: List[Tuple[int, SweepConfig, int, Optional[int], str]] = [
-            (i, cfg, seeds[i], max_size, engine)
-            for i, cfg in enumerate(self.configs)
-        ]
-
-        ckpt: Optional[SweepCheckpoint] = None
-        completed: dict = {}
-        if checkpoint is not None:
-            ckpt = SweepCheckpoint(
-                checkpoint, self._signature(trace, max_size)
-            )
-            completed = ckpt.load()
-
-        # One preparation pass for the whole grid: any sampling config
-        # makes the shared hash column worth building.
-        plan: Optional[TracePlan] = None
-        if any(cfg.sampling_rate is not None for cfg in self.configs):
-            plan = TracePlan.for_trace(trace)
-
-        remaining = len(tasks) - len(completed)
-        workers = resolve_workers(max_workers, remaining)
-        chunk = self._resolve_chunk_size(chunk_size, remaining, workers)
-        runner = ResilientRunner(
-            _model_one if chunk <= 1 else _model_batch,
-            max_workers=workers,
-            initializer=_init_sweep_worker,
-            serial_setup=lambda: _install_trace(trace, plan),
-            serial_teardown=lambda: _install_trace(None),
-            task_timeout=task_timeout,
-            retries=retries,
-            backoff=backoff,
-            max_pool_rebuilds=max_pool_rebuilds,
-        )
-        if chunk <= 1:
-            on_result = (lambda i, row: ckpt.append(row)) if ckpt else None
-            pool_tasks: Sequence[object] = tasks
-            pool_completed = completed
-        else:
-            on_result = (
-                (lambda i, rows: [ckpt.append(r) for r in rows])
-                if ckpt
-                else None
-            )
-            todo = [t for t in tasks if t[0] not in completed]
-            pool_tasks = [
-                tuple(todo[j : j + chunk]) for j in range(0, len(todo), chunk)
-            ]
-            pool_completed = {}
-        n_pool_tasks = len(pool_tasks) - len(pool_completed)
-        if workers > 1 and n_pool_tasks > 1:
-            with SharedTraceStore(trace, plan=plan) as store:
-                runner.initargs = (store.spec,)
-                rows, report = runner.run(
-                    pool_tasks, completed=pool_completed, on_result=on_result
-                )
-        else:
-            rows, report = runner.run(
-                pool_tasks, completed=pool_completed, on_result=on_result
-            )
-        if chunk > 1:
-            # Flatten chunk results and splice the resumed rows back in;
-            # the report's task entries describe chunk tasks, so surface
-            # the resumed-config count explicitly.
-            by_index = dict(completed)
-            for batch in rows:
-                for row in batch:
-                    by_index[row[0]] = row
-            rows = [by_index[i] for i in range(len(tasks))]
-            report.from_checkpoint = len(completed)
-        results = [
-            SweepResult(
-                config=self.configs[i],
-                seed=seeds[i],
-                sizes=np.asarray(sizes),
-                miss_ratios=np.asarray(ratios),
-                unit=unit,
-                **stats,
-            )
-            for i, sizes, ratios, unit, stats in rows
-        ]
-        return results, report
-
-    @staticmethod
-    def _resolve_chunk_size(
-        chunk_size: Union[None, int, str], remaining: int, workers: int
-    ) -> int:
-        """Effective cells-per-task: ``None``/1 -> 1, ``"auto"`` -> even split.
-
-        ``"auto"`` divides the remaining cells over the *usable* workers —
-        the requested count capped at the CPU count, because processes
-        beyond the core count add context-switching without parallelism
-        (the measured source of the small-sweep regression).  On a
-        one-core machine the whole grid therefore collapses into a single
-        in-process batch, which is the throughput-optimal schedule there.
-        """
-        if chunk_size is None:
-            return 1
-        if chunk_size == "auto":
-            usable = min(workers, os.cpu_count() or 1)
-            if usable <= 1 or remaining <= usable:
-                return max(1, remaining)
-            return -(-remaining // usable)  # ceil division
-        size = int(chunk_size)
-        if size < 1:
-            raise ValueError("chunk_size must be >= 1 (or 'auto')")
-        return size
-
     def _signature(self, trace: Trace, max_size: Optional[int]) -> dict:
-        """Checkpoint fingerprint: the sweep, its inputs, and the trace.
-
-        ``chunk_size`` and worker count are deliberately absent — they
-        cannot change results, so a resume may change them freely.
-        """
+        """Checkpoint fingerprint: the sweep, its inputs, and the trace."""
         crc = trace_fingerprint(trace)
         return {
             "sweep_seed": self.seed,
@@ -427,7 +288,6 @@ def model_sweep(
     strategies: Iterable[str] = ("backward",),
     sampling_rates: Iterable[Optional[float]] = (None,),
     seed: int = 0,
-    max_workers: Optional[int] = None,
     max_size: Optional[int] = None,
     **grid_kwargs: object,
 ) -> List[SweepResult]:
@@ -439,4 +299,4 @@ def model_sweep(
         seed=seed,
         **grid_kwargs,
     )
-    return sweep.run(trace, max_workers=max_workers, max_size=max_size)
+    return sweep.run(trace, max_size=max_size)

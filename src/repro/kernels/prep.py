@@ -1,9 +1,8 @@
 """Vectorized trace-preparation primitives.
 
 Everything here is a pure function of the key column: computed once per
-trace, cached by :class:`repro.engine.plan.TracePlan`, and shared across
-workers as zero-copy columns.  All outputs are plain ``int64`` arrays so
-they can live in a :class:`~repro.engine.shm.SharedTraceStore` block.
+trace and cached by :class:`repro.engine.plan.TracePlan`.  All outputs
+are plain ``int64``/``bool`` arrays.
 """
 
 from __future__ import annotations

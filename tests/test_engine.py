@@ -3,7 +3,9 @@
 The load-bearing guarantees:
 
 * ``SharedTraceStore`` round-trips trace columns bit-exactly and cleans up.
-* ``ModelSweep`` and ``parallel_klru_mrc`` produce bit-identical grids for
+* Every ``ModelSweep`` cell — SoA, scalar and byte-granularity alike —
+  equals an independent ``KRRModel.process`` run with its spawned seed.
+* ``parallel_klru_mrc`` produces bit-identical curves for
   ``max_workers=1`` vs ``max_workers=4`` under a fixed seed (worker count
   must never influence results).
 * ``KRRStack.access_many`` matches a loop of ``access()`` calls
@@ -17,6 +19,7 @@ import pytest
 
 from repro.core.krr import KRRStack
 from repro.core.model import KRRModel
+from repro.core.vkrr import spawn_seeds
 from repro.engine import ModelSweep, SharedTraceStore, SweepConfig
 from repro.engine.shm import AttachedTrace
 from repro.simulator.parallel import parallel_klru_mrc
@@ -163,40 +166,58 @@ class TestModelSweep:
         assert sweep.config_seeds() == sweep.config_seeds()
         assert len(set(sweep.config_seeds())) == 3
 
-    def test_bit_identical_across_worker_counts(self):
-        trace = _zipf_trace(seed=20)
-        sweep = ModelSweep.grid(
-            ks=[1, 4], strategies=["backward"], sampling_rates=[None, 0.5],
-            seed=5,
-        )
-        serial = sweep.run(trace, max_workers=1)
-        parallel = sweep.run(trace, max_workers=4)
-        assert len(serial) == len(parallel) == 4
-        for a, b in zip(serial, parallel):
-            assert a.config == b.config
-            assert a.seed == b.seed
-            np.testing.assert_array_equal(a.sizes, b.sizes)
-            np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
-            assert a.requests_sampled == b.requests_sampled
-
     def test_serial_matches_direct_model(self):
-        trace = _zipf_trace(seed=21)
-        sweep = ModelSweep([SweepConfig(k=4)], seed=9)
-        result = sweep.run(trace, max_workers=1)[0]
-        direct = KRRModel(k=4, seed=result.seed).process(trace).mrc()
-        np.testing.assert_array_equal(result.miss_ratios, direct.miss_ratios)
+        trace = _zipf_trace(seed=21, variable_size=True)
+        mixed = ModelSweep.grid(
+            ks=[1, 4],
+            strategies=["backward", "linear", "topdown"],
+            sampling_rates=[None, 0.5],
+        ).configs + [SweepConfig(k=3, sampling_rate=0.5, track_sizes=True)]
+        # One SoA cell alone, then a grid mixing both passes with max_size.
+        for configs, max_size in (([SweepConfig(k=4)], None), (mixed, 120)):
+            results = ModelSweep(configs, seed=9).run(trace, max_size=max_size)
+            seeds = spawn_seeds(len(configs), 9)
+            for cfg, seed, result in zip(configs, seeds, results):
+                model = KRRModel(
+                    k=cfg.k,
+                    strategy=cfg.strategy,
+                    sampling_rate=cfg.sampling_rate,
+                    track_sizes=cfg.track_sizes,
+                    seed=seed,
+                )
+                model.process(trace)
+                if cfg.track_sizes:
+                    direct, unit = model.byte_mrc(), "bytes"
+                else:
+                    direct, unit = model.mrc(max_size=max_size), "objects"
+                assert result.config == cfg
+                assert result.seed == seed
+                assert result.unit == unit
+                assert result.sizes.dtype == direct.sizes.dtype
+                np.testing.assert_array_equal(result.sizes, direct.sizes)
+                np.testing.assert_array_equal(
+                    result.miss_ratios, direct.miss_ratios
+                )
+                for name in (
+                    "requests_seen",
+                    "requests_sampled",
+                    "cold_misses",
+                    "stack_updates",
+                    "swap_positions",
+                ):
+                    assert getattr(result, name) == getattr(model.stats, name)
 
     def test_byte_granularity_config(self):
         trace = _zipf_trace(seed=22, variable_size=True)
         sweep = ModelSweep([SweepConfig(k=3, track_sizes=True)], seed=1)
-        result = sweep.run(trace, max_workers=1)[0]
+        result = sweep.run(trace)[0]
         assert result.unit == "bytes"
         assert result.mrc().unit == "bytes"
 
     def test_max_size_caps_grid(self):
         trace = _zipf_trace(seed=23)
         sweep = ModelSweep([SweepConfig(k=2)], seed=3)
-        result = sweep.run(trace, max_workers=1, max_size=50)[0]
+        result = sweep.run(trace, max_size=50)[0]
         assert result.sizes[-1] <= 50
 
 
@@ -220,7 +241,7 @@ class TestSweepCLI:
         out = tmp_path / "grid.csv"
         rc = main([
             "sweep", str(trace_path), "--ks", "1,5", "--rates", "none,0.5",
-            "--workers", "1", "--seed", "3", "-o", str(out),
+            "--seed", "3", "-o", str(out),
         ])
         assert rc == 0
         lines = out.read_text().strip().splitlines()

@@ -2,8 +2,11 @@
 
 The fleet contract under test:
 
-* a fleet grid equals per-trace ``ModelSweep`` runs with the spawned
-  per-trace seeds, for any mix of source formats and cell engines;
+* a fleet grid equals independent ``KRRModel.process`` runs with the
+  spawned per-trace, per-cell seeds, for any mix of source formats and
+  cell engines;
+* an in-memory trace is identified by its columns, not only by its name
+  and length;
 * resume is bit-identical at both levels — finished traces come back
   from their checkpoints without re-running, and a partially-finished
   trace recomputes only its missing cells on position-correct seeds;
@@ -16,9 +19,10 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.model import KRRModel
+from repro.core.vkrr import SweepResult, spawn_seeds
 from repro.engine.checkpoint import CheckpointMismatch
 from repro.engine.fleet import FleetSweep, fleet_sweep
-from repro.engine.sweep import ModelSweep
 from repro.workloads.io import save_csv, save_npz
 from repro.workloads.stream import iter_chunks, save_chunked
 from repro.workloads.trace import Trace
@@ -72,16 +76,63 @@ def _assert_same_grids(results, reference):
             assert getattr(got, f) == getattr(want, f)
 
 
+def _independent_models(configs, grid_seed, trace):
+    """The oracle: one standalone ``KRRModel.process`` run per cell."""
+    reference = []
+    for cfg, seed in zip(configs, spawn_seeds(len(configs), grid_seed)):
+        model = KRRModel(
+            k=cfg.k,
+            strategy=cfg.strategy,
+            sampling_rate=cfg.sampling_rate,
+            correction=cfg.correction,
+            track_sizes=cfg.track_sizes,
+            seed=seed,
+        )
+        model.process(trace)
+        curve = model.byte_mrc() if cfg.track_sizes else model.mrc()
+        s = model.stats
+        reference.append(
+            SweepResult(
+                config=cfg,
+                seed=seed,
+                sizes=curve.sizes,
+                miss_ratios=curve.miss_ratios,
+                unit="bytes" if cfg.track_sizes else "objects",
+                requests_seen=s.requests_seen,
+                requests_sampled=s.requests_sampled,
+                cold_misses=s.cold_misses,
+                stack_updates=s.stack_updates,
+                swap_positions=s.swap_positions,
+            )
+        )
+    return reference
+
+
 def test_fleet_matches_per_trace_model_sweep(fleet, sources):
     traces, paths = sources
     results, report = fleet.run(paths, chunk_size=400, max_workers=1)
     assert report.completed == 3
     grid_seeds = fleet.trace_seeds(3)
     for i, trace in enumerate(traces):
-        reference = ModelSweep(fleet.configs, seed=grid_seeds[i]).run(
-            trace, max_workers=1
-        )
+        reference = _independent_models(fleet.configs, grid_seeds[i], trace)
         _assert_same_grids(results[i].results, reference)
+
+
+def test_fleet_in_memory_traces_keyed_by_columns(rng, tmp_path):
+    """Same name, same length, different keys: two different traces."""
+    t1 = Trace(rng.integers(0, 500, size=5_000), name="day")
+    t2 = Trace(rng.integers(0, 500, size=5_000), name="day")
+    fleet = FleetSweep.grid(ks=[2], seed=1)
+    ck = tmp_path / "ckpt"
+    fleet.run([t1], checkpoint_dir=ck, max_workers=1)
+    # t1's checkpoint must not answer for t2.
+    with pytest.raises(CheckpointMismatch):
+        fleet.run([t2], checkpoint_dir=ck, max_workers=1)
+    both, _ = fleet.run([t1, t2], max_workers=1)
+    grid_seeds = fleet.trace_seeds(2)
+    for i, trace in enumerate((t1, t2)):
+        reference = _independent_models(fleet.configs, grid_seeds[i], trace)
+        _assert_same_grids(both[i].results, reference)
 
 
 def test_fleet_chunk_size_invariance(fleet, sources):

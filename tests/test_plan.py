@@ -1,10 +1,8 @@
 """Tests for the TracePlan preparation cache and its consumers.
 
-Covers: plan-cache identity and eviction, shared-memory publication and
-worker-side rehydration, mask equivalence against the streaming samplers,
-the plan-aware fast paths in KRRModel / SHARDS, the ModelSweep task
-batching that must stay bit-identical for any chunk size and worker
-count, and the streaming plan's chunk interning.
+Covers: plan-cache identity and eviction, mask equivalence against the
+streaming samplers, the plan-aware fast paths in KRRModel / SHARDS, and
+the streaming plan's chunk interning.
 """
 
 import numpy as np
@@ -15,14 +13,11 @@ from hypothesis import strategies as st
 from repro.baselines.shards import FixedSizeShards, Shards
 from repro.core.model import KRRModel
 from repro.engine import (
-    ModelSweep,
-    SharedTraceStore,
     StreamingTracePlan,
     TracePlan,
     clear_plan_cache,
     trace_fingerprint,
 )
-from repro.engine.shm import AttachedTrace
 from repro.kernels import next_occurrence, prev_occurrence
 from repro.sampling.spatial import SpatialSampler
 from repro.workloads.trace import Trace
@@ -117,40 +112,6 @@ class TestPlanColumns:
         assert first.dtype == np.bool_ and last.dtype == np.bool_
 
 
-class TestSharedMemoryPlan:
-    def test_round_trip(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        with SharedTraceStore(mixed_trace, plan=plan) as store:
-            assert store.spec.with_plan
-            assert store.spec.fingerprint == plan.fingerprint
-            with AttachedTrace(store.spec) as att:
-                assert np.array_equal(att.keys, mixed_trace.keys)
-                assert np.array_equal(att.sizes, mixed_trace.sizes)
-                assert np.array_equal(att.ops, mixed_trace.ops)
-                remote = att.plan()
-                assert remote is att.plan()  # cached per attachment
-                assert remote.fingerprint == plan.fingerprint
-                assert np.array_equal(remote.key_ids, plan.key_ids)
-                assert np.array_equal(
-                    remote.prev_occurrence, plan.prev_occurrence
-                )
-                assert np.array_equal(remote.hashes(0), plan.hashes(0))
-                assert remote.n_unique_keys == plan.n_unique_keys
-
-    def test_without_plan_raises(self, mixed_trace):
-        with SharedTraceStore(mixed_trace) as store:
-            assert not store.spec.with_plan
-            with AttachedTrace(store.spec) as att:
-                with pytest.raises(ValueError):
-                    att.plan()
-
-    def test_wrong_trace_rejected(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        other = Trace(np.arange(17), name="other")
-        with pytest.raises(ValueError):
-            SharedTraceStore(other, plan=plan)
-
-
 class TestPlanAwareConsumers:
     def test_krr_model_identical_with_plan(self, mixed_trace):
         plan = TracePlan.for_trace(mixed_trace)
@@ -225,66 +186,6 @@ class TestPlanAwareConsumers:
         assert np.array_equal(
             fast.mrc().miss_ratios, slow.mrc().miss_ratios
         )
-
-
-class TestSweepChunking:
-    @pytest.fixture
-    def sweep_trace(self) -> Trace:
-        gen = ScrambledZipfGenerator(600, 0.9, rng=5)
-        return Trace(gen.sample(6_000), name="sweep")
-
-    def test_chunked_bit_identical(self, sweep_trace):
-        sweep = ModelSweep.grid(
-            ks=[1, 4], sampling_rates=[None, 0.1], seed=3
-        )
-        base = sweep.run(sweep_trace, max_workers=1)
-        for workers, chunk in [(1, 2), (2, 2), (2, "auto"), (2, 100)]:
-            got = sweep.run(
-                sweep_trace, max_workers=workers, chunk_size=chunk
-            )
-            for a, b in zip(base, got):
-                assert np.array_equal(a.miss_ratios, b.miss_ratios)
-                assert np.array_equal(a.sizes, b.sizes)
-                assert a.requests_sampled == b.requests_sampled
-
-    def test_chunked_checkpoint_resume(self, sweep_trace, tmp_path):
-        ck = tmp_path / "sweep.jsonl"
-        sweep = ModelSweep.grid(ks=[1, 2], sampling_rates=[None, 0.1], seed=9)
-        full, _ = sweep.run_with_report(
-            sweep_trace, max_workers=1, checkpoint=ck
-        )
-        # Truncate to two finished rows, then resume with chunking on:
-        # chunk size is not part of the signature, so this must succeed.
-        lines = ck.read_text().strip().split("\n")
-        ck.write_text("\n".join(lines[:3]) + "\n")
-        resumed, report = sweep.run_with_report(
-            sweep_trace, max_workers=2, checkpoint=ck, chunk_size="auto"
-        )
-        assert report.from_checkpoint == 2
-        for a, b in zip(full, resumed):
-            assert np.array_equal(a.miss_ratios, b.miss_ratios)
-
-    def test_invalid_chunk_size(self, sweep_trace):
-        sweep = ModelSweep.grid(ks=[1], seed=0)
-        with pytest.raises(ValueError):
-            sweep.run(sweep_trace, chunk_size=0)
-
-    def test_resolve_chunk_size(self, monkeypatch):
-        resolve = ModelSweep._resolve_chunk_size
-        assert resolve(None, 12, 4) == 1
-        assert resolve(1, 12, 4) == 1
-        assert resolve(5, 12, 4) == 5
-        assert resolve("auto", 12, 1) == 12
-        # "auto" divides over min(workers, cpus): pin the CPU count so the
-        # expectation is machine-independent.
-        import repro.engine.sweep as sweep_mod
-
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 4)
-        assert resolve("auto", 12, 4) == 3
-        assert resolve("auto", 13, 4) == 4
-        assert resolve("auto", 3, 4) == 3
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 1)
-        assert resolve("auto", 12, 4) == 12
 
 
 def _dict_intern(ids: dict, keys: np.ndarray) -> np.ndarray:

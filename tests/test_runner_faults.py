@@ -1,17 +1,18 @@
 """Fault-tolerance tests: runner recovery paths, checkpoint/resume, shm cleanup.
 
 Every recovery path the resilient runner claims is proven here with
-injected faults (``repro.engine.faults``):
+injected faults (``repro.engine.faults``), on the pools that use it — a
+``FleetSweep`` (one task per trace) and the simulation sweep:
 
-* a worker crash mid-grid rebuilds the pool and finishes with results
+* a worker crash mid-fleet rebuilds the pool and finishes with results
   bit-identical to an uninterrupted ``max_workers=1`` run;
 * a hung worker trips the per-task timeout, is killed, and the task
   retries successfully;
 * transient failures retry with a bounded budget, then fail loudly;
 * a pool that keeps dying degrades to serial with a warning — and the
   same bit-identical results;
-* an interrupted checkpointed sweep resumes running only the remaining
-  grid positions;
+* an interrupted checkpointed ``ModelSweep`` resumes appending exactly
+  the missing grid rows, and a finished one appends nothing;
 * the shared-memory segment is unlinked when the parent is SIGTERM-killed
   mid-life or exits without ``close()``.
 """
@@ -28,10 +29,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.model import KRRModel
 from repro.engine import (
     CheckpointMismatch,
+    FleetSweep,
     ModelSweep,
     ResilientRunner,
+    SweepConfig,
     TaskFailedError,
     TransientTaskError,
 )
@@ -76,8 +80,48 @@ def trace():
 
 
 @pytest.fixture
-def sweep():
-    return ModelSweep.grid(ks=[1, 4], sampling_rates=[None, 0.5], seed=5)
+def traces():
+    return [_zipf_trace(seed=i) for i in range(3)]
+
+
+@pytest.fixture
+def fleet():
+    return FleetSweep.grid(ks=[1, 4], sampling_rates=[None, 0.5], seed=5)
+
+
+_COUNTERS = (
+    "requests_seen",
+    "requests_sampled",
+    "cold_misses",
+    "stack_updates",
+    "swap_positions",
+)
+
+
+def _assert_same_grid(clean, results):
+    """Bit-for-bit: config, seed, sizes (with dtype), ratios, unit, counters."""
+    assert len(clean) == len(results)
+    for a, b in zip(clean, results):
+        assert a.config == b.config
+        assert a.seed == b.seed
+        assert a.sizes.dtype == b.sizes.dtype
+        np.testing.assert_array_equal(a.sizes, b.sizes)
+        np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
+        assert a.unit == b.unit
+        for name in _COUNTERS:
+            assert getattr(a, name) == getattr(b, name)
+
+
+def _assert_same_fleet(clean, results):
+    assert len(clean) == len(results)
+    for a, b in zip(clean, results):
+        _assert_same_grid(a.results, b.results)
+
+
+def _row_indices(raw: bytes):
+    """Grid positions of the checkpoint rows in ``raw`` (headers skipped)."""
+    records = [json.loads(line) for line in raw.splitlines() if line.strip()]
+    return [r["index"] for r in records if "index" in r]
 
 
 # ----------------------------------------------------------------------
@@ -169,67 +213,62 @@ class TestFaultPlanParsing:
 
 # ----------------------------------------------------------------------
 class TestSweepFaultRecovery:
+    """Runner recovery paths on a fleet pool; the fault index is the trace."""
+
     def test_worker_crash_recovers_bit_identical(
-        self, trace, sweep, tmp_path, monkeypatch
+        self, traces, fleet, tmp_path, monkeypatch
     ):
-        clean = sweep.run(trace, max_workers=1)
+        clean, _ = fleet.run(traces, max_workers=1)
         monkeypatch.setenv("REPRO_FAULTS", f"crash-once@1;state={tmp_path}")
-        results, report = sweep.run_with_report(
-            trace, max_workers=2, retries=2, backoff=0
+        results, report = fleet.run(
+            traces, max_workers=2, retries=2, backoff=0
         )
         assert report.pool_rebuilds >= 1
         assert not report.degraded_to_serial
-        for a, b in zip(clean, results):
-            assert a.config == b.config
-            np.testing.assert_array_equal(a.sizes, b.sizes)
-            np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
-            assert a.requests_sampled == b.requests_sampled
+        _assert_same_fleet(clean, results)
 
     def test_timeout_fires_on_hung_worker(
-        self, trace, sweep, tmp_path, monkeypatch
+        self, traces, fleet, tmp_path, monkeypatch
     ):
-        clean = sweep.run(trace, max_workers=1)
+        clean, _ = fleet.run(traces, max_workers=1)
         monkeypatch.setenv("REPRO_FAULTS", f"hang-once@0:60;state={tmp_path}")
-        results, report = sweep.run_with_report(
-            trace, max_workers=2, retries=2, backoff=0, task_timeout=1.5
+        results, report = fleet.run(
+            traces, max_workers=2, retries=2, backoff=0, task_timeout=1.5
         )
         assert report.timeouts >= 1
         assert report.tasks[0].timeouts >= 1
-        for a, b in zip(clean, results):
-            np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
+        _assert_same_fleet(clean, results)
 
     def test_degrades_to_serial_when_pool_keeps_dying(
-        self, trace, sweep, monkeypatch
+        self, traces, fleet, monkeypatch
     ):
-        clean = sweep.run(trace, max_workers=1)
+        clean, _ = fleet.run(traces, max_workers=1)
         monkeypatch.setenv("REPRO_FAULTS", "crash@0")  # crashes every attempt
         with pytest.warns(RuntimeWarning, match="degrading"):
-            results, report = sweep.run_with_report(
-                trace, max_workers=2, retries=1, backoff=0, max_pool_rebuilds=1
+            results, report = fleet.run(
+                traces, max_workers=2, retries=1, backoff=0,
+                max_pool_rebuilds=1,
             )
         assert report.degraded_to_serial
-        for a, b in zip(clean, results):
-            np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
+        _assert_same_fleet(clean, results)
 
     def test_transient_worker_failure_retried(
-        self, trace, sweep, tmp_path, monkeypatch
+        self, traces, fleet, tmp_path, monkeypatch
     ):
-        clean = sweep.run(trace, max_workers=1)
+        clean, _ = fleet.run(traces, max_workers=1)
         monkeypatch.setenv("REPRO_FAULTS", f"flaky@0:2;state={tmp_path}")
-        results, report = sweep.run_with_report(
-            trace, max_workers=2, retries=3, backoff=0
+        results, report = fleet.run(
+            traces, max_workers=2, retries=3, backoff=0
         )
         assert report.retries >= 2
-        np.testing.assert_array_equal(
-            clean[0].miss_ratios, results[0].miss_ratios
-        )
+        _assert_same_fleet(clean, results)
 
     def test_retry_budget_exhausted_raises(
-        self, trace, sweep, tmp_path, monkeypatch
+        self, traces, fleet, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_FAULTS", f"flaky@0:10;state={tmp_path}")
         with pytest.raises(TaskFailedError):
-            sweep.run_with_report(trace, max_workers=1, retries=1, backoff=0)
+            fleet.run(traces, max_workers=1, retries=1, backoff=0)
 
     def test_simulation_sweep_recovers_from_crash(
         self, trace, tmp_path, monkeypatch
@@ -251,70 +290,81 @@ class TestCheckpointResume:
     def test_resume_skips_completed_configs(
         self, trace, tmp_path, monkeypatch
     ):
-        sweep = ModelSweep.grid(ks=[1, 2, 4], seed=7)
-        clean = sweep.run(trace, max_workers=1)
-        ck = tmp_path / "sweep.ckpt"
-        # First run dies at grid position 2 after streaming rows 0 and 1.
-        monkeypatch.setenv("REPRO_FAULTS", f"flaky@2:10;state={tmp_path}")
-        with pytest.raises(TaskFailedError):
-            sweep.run_with_report(
-                trace, max_workers=1, retries=0, checkpoint=ck
-            )
-        monkeypatch.delenv("REPRO_FAULTS")
-        results, report = sweep.run_with_report(
-            trace, max_workers=1, checkpoint=ck
+        trace = Trace(
+            trace.keys,
+            np.arange(len(trace)) % 97 + 1,  # byte sizes for the track_sizes cell
+            name=trace.name,
         )
-        assert report.from_checkpoint == 2
-        assert report.attempts == 1  # only the remaining grid position ran
-        for a, b in zip(clean, results):
-            assert a.config == b.config
-            np.testing.assert_array_equal(a.sizes, b.sizes)
-            np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
+        configs = ModelSweep.grid(
+            ks=[1, 4],
+            strategies=["backward", "linear", "topdown"],
+            sampling_rates=[None, 0.5],
+        ).configs + [SweepConfig(k=2, track_sizes=True)]
+        sweep = ModelSweep(configs, seed=7)
+        clean = sweep.run(trace, max_size=150)
+        ck = tmp_path / "sweep.ckpt"
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("killed in the scalar pass")
+
+        # The first run dies in the scalar pass, after the MultiKRR pass
+        # has appended its rows.
+        with monkeypatch.context() as m:
+            m.setattr(KRRModel, "access_many", crash)
+            with pytest.raises(RuntimeError, match="scalar pass"):
+                sweep.run(trace, max_size=150, checkpoint=ck)
+        before = ck.read_bytes()
+        soa = [
+            i
+            for i, c in enumerate(configs)
+            if c.strategy != "topdown" and not c.track_sizes
+        ]
+        assert _row_indices(before) == soa
+
+        results = sweep.run(trace, max_size=150, checkpoint=ck)
+        after = ck.read_bytes()
+        assert after.startswith(before)
+        appended = _row_indices(after[len(before):])
+        assert sorted(appended) == [
+            i for i in range(len(configs)) if i not in soa
+        ]
+        _assert_same_grid(clean, results)
 
     def test_finished_checkpoint_runs_nothing(self, trace, tmp_path):
         sweep = ModelSweep.grid(ks=[1, 4], seed=3)
         ck = tmp_path / "sweep.ckpt"
-        first = sweep.run(trace, max_workers=1, checkpoint=ck)
-        results, report = sweep.run_with_report(
-            trace, max_workers=1, checkpoint=ck
-        )
-        assert report.attempts == 0
-        assert report.from_checkpoint == len(sweep)
-        for a, b in zip(first, results):
-            np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
+        first = sweep.run(trace, checkpoint=ck)
+        before = ck.read_bytes()
+        results = sweep.run(trace, checkpoint=ck)
+        assert ck.read_bytes() == before
+        _assert_same_grid(first, results)
 
     def test_mismatched_checkpoint_rejected(self, trace, tmp_path):
         ck = tmp_path / "sweep.ckpt"
-        ModelSweep.grid(ks=[1, 4], seed=3).run(
-            trace, max_workers=1, checkpoint=ck
-        )
+        ModelSweep.grid(ks=[1, 4], seed=3).run(trace, checkpoint=ck)
         other = ModelSweep.grid(ks=[1, 4], seed=99)  # different sweep seed
         with pytest.raises(CheckpointMismatch):
-            other.run(trace, max_workers=1, checkpoint=ck)
+            other.run(trace, checkpoint=ck)
 
     def test_garbage_checkpoint_rejected(self, trace, tmp_path):
         ck = tmp_path / "sweep.ckpt"
         ck.write_text("not json at all\n")
         with pytest.raises(CheckpointMismatch):
-            ModelSweep.grid(ks=[1], seed=3).run(
-                trace, max_workers=1, checkpoint=ck
-            )
+            ModelSweep.grid(ks=[1], seed=3).run(trace, checkpoint=ck)
 
     def test_truncated_tail_row_ignored(self, trace, tmp_path):
         sweep = ModelSweep.grid(ks=[1, 4], seed=3)
         ck = tmp_path / "sweep.ckpt"
-        sweep.run(trace, max_workers=1, checkpoint=ck)
+        sweep.run(trace, checkpoint=ck)
         # Simulate a crash mid-write: chop the last row in half.
         text = ck.read_text()
         ck.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
-        results, report = sweep.run_with_report(
-            trace, max_workers=1, checkpoint=ck
-        )
-        assert report.from_checkpoint == 1  # intact row kept, torn row redone
-        assert report.attempts == 1
-        clean = sweep.run(trace, max_workers=1)
-        for a, b in zip(clean, results):
-            np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
+        with pytest.warns(RuntimeWarning, match="torn final checkpoint line"):
+            results = sweep.run(trace, checkpoint=ck)
+        # The intact row was kept and only the torn one redone.
+        assert _row_indices(ck.read_bytes()) == [0, 1]
+        clean = sweep.run(trace)
+        _assert_same_grid(clean, results)
 
 
 # ----------------------------------------------------------------------
@@ -381,24 +431,19 @@ class TestSweepCLIFaultFlags:
         trace_path = tmp_path / "t.csv"
         io.save_csv(trace, trace_path)
         ck = tmp_path / "sweep.ckpt"
-        report_path = tmp_path / "report.json"
         out = tmp_path / "grid.csv"
         argv = [
-            "sweep", str(trace_path), "--ks", "1,4", "--workers", "1",
-            "--seed", "3", "--checkpoint", str(ck), "--task-timeout", "300",
-            "--retries", "3", "--report", str(report_path), "-o", str(out),
+            "sweep", str(trace_path), "--ks", "1,4", "--seed", "3",
+            "--checkpoint", str(ck), "-o", str(out),
         ]
         assert main(argv) == 0
-        first = json.loads(report_path.read_text())
-        assert first["total_tasks"] == 2
-        assert first["from_checkpoint"] == 0
         first_grid = out.read_text()
+        first_ckpt = ck.read_bytes()
+        assert _row_indices(first_ckpt) == [0, 1]
 
         # Second invocation resumes everything from the checkpoint.
         assert main(argv) == 0
-        second = json.loads(report_path.read_text())
-        assert second["from_checkpoint"] == 2
-        assert second["attempts"] == 0
+        assert ck.read_bytes() == first_ckpt
         assert out.read_text() == first_grid
 
 

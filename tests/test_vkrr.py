@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import KRRModel
-from repro.core.vkrr import GridConfig, MultiKRR, spawn_seeds
-from repro.engine.sweep import ModelSweep, SweepConfig
+from repro.core.vkrr import MultiKRR, SweepConfig, spawn_seeds
+from repro.engine.sweep import ModelSweep
 from repro.workloads.trace import Trace
 
 
@@ -62,6 +62,7 @@ class TestGridIdentity:
             assert model.stats.swap_positions == res.swap_positions
 
     def test_grid_matches_model_sweep_serial(self):
+        """ModelSweep and MultiKRR both equal independent models per cell."""
         trace = make_trace()
         kwargs = dict(
             ks=[1, 2, 5],
@@ -69,14 +70,25 @@ class TestGridIdentity:
             sampling_rates=(None, 0.1),
             seed=13,
         )
-        sweep_rows = ModelSweep.grid(**kwargs).run(trace, max_workers=1)
+        sweep_rows = ModelSweep.grid(**kwargs).run(trace)
         grid_rows = MultiKRR.grid(**kwargs).run(trace)
-        assert len(sweep_rows) == len(grid_rows)
-        for a, b in zip(sweep_rows, grid_rows):
-            assert a.config.label() == b.config.label()
-            assert np.array_equal(a.sizes, b.sizes)
-            assert np.array_equal(a.miss_ratios, b.miss_ratios)
-            assert a.swap_positions == b.swap_positions
+        assert len(sweep_rows) == len(grid_rows) == 12
+        seeds = spawn_seeds(12, 13)
+        for i, (a, b) in enumerate(zip(sweep_rows, grid_rows)):
+            assert a.config == b.config
+            model = KRRModel(
+                k=a.config.k,
+                strategy=a.config.strategy,
+                sampling_rate=a.config.sampling_rate,
+                seed=seeds[i],
+            )
+            model.process(trace)
+            curve = model.mrc()
+            for row in (a, b):
+                assert row.seed == seeds[i]
+                assert np.array_equal(row.sizes, curve.sizes)
+                assert np.array_equal(row.miss_ratios, curve.miss_ratios)
+                assert row.swap_positions == model.stats.swap_positions
 
     def test_chunk_size_cannot_change_results(self):
         trace = make_trace(seed=9)
@@ -105,7 +117,7 @@ class TestValidation:
 
     def test_rejects_topdown_and_track_sizes(self):
         with pytest.raises(ValueError):
-            MultiKRR([GridConfig(strategy="topdown")])
+            MultiKRR([SweepConfig(strategy="topdown")])
         with pytest.raises(ValueError):
             MultiKRR([SweepConfig(track_sizes=True)])
 
@@ -121,19 +133,3 @@ class TestValidation:
         assert curve.label == "K=2/backward/full"
         assert curve.sizes.shape == rows[0].sizes.shape
 
-
-class TestSweepEngineOption:
-    def test_sweep_engine_soa_equals_scalar(self):
-        trace = make_trace(seed=4)
-        kwargs = dict(ks=[1, 3], sampling_rates=[None, 0.5], seed=21)
-        rows_scalar = ModelSweep.grid(**kwargs).run(
-            trace, max_workers=1, engine="scalar"
-        )
-        rows_soa = ModelSweep.grid(**kwargs).run(trace, max_workers=1, engine="soa")
-        for a, b in zip(rows_scalar, rows_soa):
-            assert np.array_equal(a.miss_ratios, b.miss_ratios)
-            assert a.swap_positions == b.swap_positions
-
-    def test_sweep_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            ModelSweep.grid(ks=[2]).run(make_trace(), engine="gpu")
