@@ -1,13 +1,14 @@
-"""Hot-path benchmark: vectorized kernels + TracePlan vs the legacy loops.
+"""Hot-path benchmark: vectorized kernels vs the legacy per-access loops.
 
 Measures, on a 500k-request zipf trace (50k objects, alpha=0.99):
 
 1. **Exact-LRU distance extraction** — ``lru_histograms`` through the
    offline Olken batch kernel against the per-access Fenwick-tree loop
    (``vectorized=False``), with a bit-identity check on both histograms.
-2. **Spatially sampled KRRModel** — ``process(trace, plan)`` at rate 0.01
-   (vectorized prefilter from the shared TracePlan hash column) against
-   the legacy streaming loop (one ``access()``/``keep()`` per request).
+2. **Spatially sampled KRRModel** — ``process(trace)`` at rate 0.01
+   (one vectorized hash-and-filter pass over the key column, timed
+   inside the call, then the batched stack) against the legacy streaming
+   loop (one ``access()``/``keep()`` per request).
 
 The grid sweep is timed in ``bench_engine_scaling.py`` (one pass against
 the per-cell loop it replaced).
@@ -68,7 +69,6 @@ def bench_exact_lru(trace):
 
 def bench_sampled_process(trace, seed=1):
     from repro import KRRModel
-    from repro.engine import TracePlan
 
     keys = trace.keys
     sizes = trace.sizes
@@ -78,11 +78,9 @@ def bench_sampled_process(trace, seed=1):
         legacy_model.access(int(keys[i]), int(sizes[i]))
     legacy_s = time.perf_counter() - t0
 
-    plan = TracePlan.for_trace(trace)
-    plan.materialize()  # priced separately from the per-model hot path
     vec_model = KRRModel(k=K, sampling_rate=SAMPLING_RATE, seed=seed)
     t0 = time.perf_counter()
-    vec_model.process(trace, plan=plan)
+    vec_model.process(trace)
     vectorized_s = time.perf_counter() - t0
 
     identical = bool(
@@ -168,7 +166,7 @@ def main(argv=None):
         f"KRRModel.process at R={SAMPLING_RATE} (K={K}, "
         f"{sampled['sampled']} sampled):",
         f"  streaming access()  {sampled['legacy_s']:8.2f}s",
-        f"  plan + batched      {sampled['vectorized_s']:8.2f}s",
+        f"  filter + batched    {sampled['vectorized_s']:8.2f}s",
         f"  speedup             {sampled['speedup']:.2f}x  "
         f"(curves identical: {sampled['curves_identical']})",
         "",

@@ -13,7 +13,7 @@ Two refinements from the paper are included:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from ..sampling.spatial import FixedSizeSpatialSampler, SpatialSampler
 from ..stack.histogram import ByteDistanceHistogram, DistanceHistogram
 from ..stack.lru_stack import TreeLRUStack
 from ..workloads.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from ..engine.plan import TracePlan
 
 __all__ = [
     "FixedSizeShards",
@@ -75,19 +72,14 @@ class Shards:
             return
         self._force_access(key, size)
 
-    def process(
-        self,
-        trace: "Trace | Iterable[Trace]",
-        plan: Optional["TracePlan"] = None,
-    ) -> "Shards":
+    def process(self, trace: "Trace | Iterable[Trace]") -> "Shards":
         """Feed a whole trace; batch-kernel fast path on a fresh instance.
 
         The spatial filter is applied to the key column in one vectorized
-        pass (reusing ``plan``'s cached hash column when given).  On a
-        fresh estimator the sampled subsequence then goes through the
-        offline Olken batch kernel instead of the per-access Fenwick loop
-        — identical distances, hence identical histograms — and the
-        streaming stack state is rebuilt so subsequent :meth:`access`
+        pass.  On a fresh estimator the sampled subsequence then goes
+        through the offline Olken batch kernel instead of the per-access
+        Fenwick loop — identical distances, hence identical histograms —
+        and the streaming stack state is rebuilt so subsequent :meth:`access`
         calls continue exactly where the per-access path would have.  An
         estimator that already holds stack state falls back to streaming.
 
@@ -96,25 +88,14 @@ class Shards:
         takes the batch-kernel path, the stack-rebuild makes each later
         chunk a plain streaming continuation, and SHARDS is RNG-free, so
         the result is identical to the concatenated in-memory run.
-        ``plan`` (whole-trace hash cache) cannot be combined with one.
         """
         if not isinstance(trace, Trace):
-            if plan is not None:
-                raise ValueError(
-                    "plan caches whole-trace hash columns; streamed chunks "
-                    "hash per chunk instead"
-                )
             for chunk in trace:
                 self.process(chunk)
             return self
         keys = trace.keys
         sizes = trace.sizes
-        if plan is not None:
-            idx = plan.sample_indices(
-                self._sampler.threshold, self._sampler.modulus, self._sampler.seed
-            )
-        else:
-            idx = self._sampler.filter_indices(keys)
+        idx = self._sampler.filter_indices(keys)
         if len(self._stack) == 0 and self.requests_sampled == 0:
             skeys = keys[idx]
             ssizes = sizes[idx]
@@ -282,41 +263,28 @@ class FixedSizeShards:
         dist, _ = self._stack.access(key, size)
         self._raw.append((dist if dist > 0 else 0, self._sampler.rate))
 
-    def process(
-        self,
-        trace: "Trace | Iterable[Trace]",
-        plan: Optional["TracePlan"] = None,
-    ) -> "FixedSizeShards":
+    def process(self, trace: "Trace | Iterable[Trace]") -> "FixedSizeShards":
         """Feed a whole trace, hashing the key column in one batch pass.
 
         The adaptive threshold makes the sampling decision inherently
         sequential, but the per-key ``splitmix64`` is not: it is computed
-        vectorized up front (or reused from ``plan``'s hash column) and
-        streamed into :meth:`FixedSizeSpatialSampler.offer_hashed`, leaving
-        only the threshold compare and stack update in the Python loop.
+        vectorized up front and streamed into
+        :meth:`FixedSizeSpatialSampler.offer_hashed`, leaving only the
+        threshold compare and stack update in the Python loop.
 
         Accepts a stream of chunks like :meth:`Shards.process`; the
         sampler's adaptive threshold and the stack persist across chunks,
         so streamed and in-memory runs are identical.
         """
         if not isinstance(trace, Trace):
-            if plan is not None:
-                raise ValueError(
-                    "plan caches whole-trace hash columns; streamed chunks "
-                    "hash per chunk instead"
-                )
             for chunk in trace:
                 self.process(chunk)
             return self
-        if plan is not None:
-            hashed_arr = plan.hashes(self._sampler.seed)
-        else:
-            hashed = splitmix64(trace.keys, self._sampler.seed)
-            assert isinstance(hashed, np.ndarray)
-            hashed_arr = hashed
+        hashed = splitmix64(trace.keys, self._sampler.seed)
+        assert isinstance(hashed, np.ndarray)
         keys = trace.keys.tolist()
         sizes = trace.sizes.tolist()
-        hashes = hashed_arr.tolist()
+        hashes = hashed.tolist()
         sampler = self._sampler
         stack = self._stack
         raw = self._raw

@@ -25,7 +25,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from ..stack.soa import SOA_STRATEGIES, SoAKRRStack
 from ..workloads.trace import Trace
 from .correction import DEFAULT_EXPONENT, corrected_k
 from .krr import KRRStack
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> core)
-    from ..engine.plan import TracePlan
 
 __all__ = [
     "KRRModel",
@@ -238,7 +235,7 @@ class KRRModel:
     def access_many(
         self,
         keys: "list[int] | np.ndarray",
-        sizes: Optional["list[int]"] = None,
+        sizes: "list[int] | np.ndarray | None" = None,
         engine: str = "scalar",
     ) -> None:
         """Stream a batch of requests, without snapshotting.
@@ -246,28 +243,33 @@ class KRRModel:
         Draw-for-draw identical to calling :meth:`access` per request —
         same sampling decisions, same RNG consumption, same histograms —
         but batched: the spatial filter runs one vectorized hash pass and
-        the stack consumes one fused batch loop.  This is the incremental
-        sibling of :meth:`process` for callers that feed chunks of an
-        ongoing stream (the service ingest path, the cache's buffered
-        model feed).
+        the stack consumes one fused batch loop.  This is the one feed
+        path: :meth:`process` hands it a whole trace, a stream hands it
+        one chunk at a time, and the service and the cache's buffered
+        model feed hand it their batches.
 
-        ``engine`` follows the :meth:`process` contract (``"scalar"`` /
-        ``"soa"`` / ``"auto"``) and is sticky per model.  The default is
-        ``"scalar"`` — unlike :meth:`process` — because long-lived online
-        models need :meth:`state_dict`, which the SoA engine does not
-        support; callers that never snapshot (the cache) pass ``"auto"``.
+        ``engine`` selects the stack (``"scalar"`` / ``"soa"`` /
+        ``"auto"``; see :meth:`process`) and is sticky per model.  The
+        default is ``"scalar"`` — unlike :meth:`process` — because
+        long-lived online models need :meth:`state_dict`, which the SoA
+        engine does not support; callers that never snapshot (the cache)
+        pass ``"auto"``.
 
         ``keys`` may be a list of Python ints or a NumPy integer column
         (a ``uint64`` column is reinterpreted mod 2^64, exactly as scalar
-        ``splitmix64`` wraps).
+        ``splitmix64`` wraps).  ``sizes``, a list or a NumPy column, must
+        be parallel to ``keys``; a length mismatch raises ``ValueError``
+        before the model changes.
         """
+        n = len(keys)
+        if sizes is not None and len(sizes) != n:
+            raise ValueError(f"{len(sizes)} sizes for {n} keys")
         engine = self._resolve_engine(engine)
         if self._auto_rate and self._sampler is None:
             self._sampler = SpatialSampler(0.001)
             self._obj_hist.scale = self._sampler.scale
             if self._byte_hist is not None:
                 self._byte_hist.scale = self._sampler.scale
-        n = len(keys)
         if n == 0:
             return
         self.stats.requests_seen += n
@@ -294,23 +296,21 @@ class KRRModel:
             idx = self._sampler.filter_indices(arr)
             if int(idx.shape[0]) != n:
                 arr = arr[idx]
-                picks = idx.tolist()
                 if key_list is not None:
-                    key_list = [key_list[i] for i in picks]
-                if sizes is not None:
-                    sizes = [sizes[i] for i in picks]
+                    key_list = [key_list[i] for i in idx.tolist()]
+                if isinstance(sizes, np.ndarray):
+                    sizes = sizes[idx]
+                elif sizes is not None:
+                    sizes = [sizes[i] for i in idx.tolist()]
                 n = int(arr.shape[0])
         self.stats.requests_sampled += n
         if n == 0:
             return
         if engine == "soa":
-            size_col = (
-                np.ones(n, dtype=np.int64)
-                if sizes is None
-                else np.asarray(sizes, dtype=np.int64)
-            )
-            self._process_soa(arr, size_col, None, None)
+            self._process_soa(arr, sizes)
         else:
+            if isinstance(sizes, np.ndarray):
+                sizes = sizes.tolist()
             distances, byte_distances = self._stack.access_many(
                 key_list if key_list is not None else arr.tolist(), sizes
             )
@@ -322,7 +322,6 @@ class KRRModel:
     def process(
         self,
         trace: Optional[Trace] = None,
-        plan: Optional["TracePlan"] = None,
         engine: str = "auto",
         stream: Optional["Iterable[Trace]"] = None,
     ) -> "KRRResult":
@@ -347,74 +346,35 @@ class KRRModel:
         The engine is sticky per model — both share one generator, so
         switching mid-run would desynchronize the stream and is refused.
 
-        On the scalar engine, three batch passes replace the per-access
-        loop: the spatial filter is applied to the key column vectorized,
-        the surviving columns are converted to Python lists once (NumPy
-        scalar unboxing inside the stack loop is ~10x slower) and fed to
-        :meth:`KRRStack.access_many`, and the resulting distance batch is
-        recorded into the histograms with one ``bincount`` pass each.
-        Statistically identical to streaming :meth:`access` per request
-        (draw-for-draw, given the same seed and sampler).
-
-        ``plan`` supplies a :class:`~repro.engine.plan.TracePlan` for this
-        trace; its cached hash column and per-rate sampled-index cache
-        replace the filter's hash pass entirely (models over one trace
-        share one cached plan), and on the SoA engine its cached
-        factorization also replaces the stack's key interning.  The selected indices are identical either way.
+        The trace goes through :meth:`access_many` in one call: the
+        spatial filter runs over the key column vectorized, the surviving
+        rows are selected by index, and the stack consumes them in one
+        batch (the scalar stack as Python lists, converted once, since
+        NumPy scalar unboxing inside its loop is ~10x slower), with one
+        ``bincount`` pass per histogram.  Draw-for-draw identical to
+        streaming :meth:`access` per request, given the same seed and
+        sampler.
 
         ``stream`` accepts a bounded-memory
         :class:`~repro.workloads.stream.TraceStream` (any iterable of
-        trace chunks) instead of ``trace``: each chunk runs through the
-        same batched hot path via :meth:`access_many`.  Because the
-        spatial filter is stateless per key and both engines buffer
-        their draws across calls, a streamed run is **bit-identical** to
-        processing the concatenated trace in one shot, for any chunk
-        size (property-tested in ``tests/test_stream.py``).  A stream
-        has no whole-trace unique-object count, so
-        ``sampling_rate="auto"`` is refused — pass an explicit rate; and
-        ``plan`` (a whole-trace column cache) cannot be combined with a
-        stream.
+        trace chunks) instead of ``trace``: each chunk goes through the
+        same :meth:`access_many` call.  Because the spatial filter is
+        stateless per key and both engines buffer their draws across
+        calls, a streamed run is **bit-identical** to processing the
+        concatenated trace in one shot, for any chunk size
+        (property-tested in ``tests/test_stream.py``).  A stream has no
+        whole-trace unique-object count, so ``sampling_rate="auto"`` is
+        refused — pass an explicit rate.
         """
         if stream is not None:
             if trace is not None:
                 raise ValueError("pass either trace= or stream=, not both")
-            if plan is not None:
-                raise ValueError(
-                    "plan caches whole-trace columns; streamed chunks "
-                    "compute their columns per chunk instead"
-                )
             return self._process_stream(stream, engine)
         if trace is None:
             raise ValueError("process() needs a trace or a stream")
-        engine = self._resolve_engine(engine)
         if self._auto_rate and self._sampler is None:
             self._resolve_auto_sampler(trace)
-        keys = trace.keys
-        sizes = trace.sizes
-        self.stats.requests_seen += int(keys.shape[0])
-        idx: Optional[np.ndarray] = None
-        if self._sampler is not None:
-            if plan is not None:
-                idx = plan.sample_indices(
-                    self._sampler.threshold,
-                    self._sampler.modulus,
-                    self._sampler.seed,
-                )
-            else:
-                idx = self._sampler.filter_indices(keys)
-            keys = keys[idx]
-            sizes = sizes[idx]
-        self.stats.requests_sampled += int(keys.shape[0])
-        if engine == "soa":
-            self._process_soa(keys, sizes, plan, idx)
-        else:
-            distances, byte_distances = self._stack.access_many(
-                keys.tolist(), sizes.tolist()
-            )
-            self._obj_hist.record_many(distances)
-            if self._byte_hist is not None:
-                self._byte_hist.record_many(byte_distances)
-            self.stats.cold_misses += distances.count(-1)
+        self.access_many(trace.keys, trace.sizes, engine=engine)
         self._sync_stats()
         return self.result()
 
@@ -427,34 +387,19 @@ class KRRModel:
                 "count up front; pass an explicit rate when streaming"
             )
         for chunk in stream:
-            self.access_many(chunk.keys, chunk.sizes.tolist(), engine=engine)
+            self.access_many(chunk.keys, chunk.sizes, engine=engine)
         self._sync_stats()
         return self.result()
 
     def _process_soa(
-        self,
-        keys: np.ndarray,
-        sizes: np.ndarray,
-        plan: Optional["TracePlan"],
-        idx: Optional[np.ndarray],
+        self, keys: np.ndarray, sizes: "list[int] | np.ndarray | None"
     ) -> None:
-        """SoA half of :meth:`process`: flat-array stack, numpy distances."""
+        """SoA half of :meth:`access_many`: flat-array stack, numpy distances."""
         if self._soa is None:
             self._soa = SoAKRRStack(
                 self.effective_k, strategy=self._strategy_name, rng=self._rng
             )
-        stack = self._soa
-        use_plan_ids = plan is not None and not stack.has_interned_keys
-        if use_plan_ids:
-            assert plan is not None
-            kids = plan.key_ids if idx is None else plan.key_ids[idx]
-            distances = stack.access_many_ids(
-                np.ascontiguousarray(kids, dtype=np.int64),
-                plan.unique_keys,
-                sizes,
-            )
-        else:
-            distances, _ = stack.access_many(keys, sizes)
+        distances, _ = self._soa.access_many(keys, sizes)
         self._obj_hist.record_many(distances)
         self.stats.cold_misses += int(np.count_nonzero(distances == -1))
 

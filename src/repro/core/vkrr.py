@@ -5,15 +5,14 @@ with and without spatial sampling?" — could be answered by one full
 :class:`~repro.core.model.KRRModel` per configuration: C passes over the
 trace, C factorizations, C hash columns.  MultiKRR evaluates the grid in
 **one streaming pass**: the trace is prepared once (dense key ids via
-factorization, one hash column per sampling seed), every configuration's
-stack lives as one row of a C×U 2-D ``int64`` state block (slot row +
-position row, C-contiguous so each row feeds a
-:class:`~repro.stack.soa.SoAKRRStack` zero-copy), and each request chunk
-is pushed through all C stacks before the next chunk is touched — the
-chunk stays hot in cache while every configuration consumes it.  The
-backward cells advance together, in one
+factorization, one hash column per sampling seed), every configuration
+owns a growable :class:`~repro.stack.soa.SoAKRRStack` fed those shared
+ids, and each request chunk is pushed through all C stacks before the
+next chunk is touched — the chunk stays hot in cache while every
+configuration consumes it.  The backward cells advance together, in one
 :func:`~repro.stack.soa.walk_backward_lanes` call per chunk that keeps
-two cells' swap chains in flight.
+two cells' swap chains in flight.  A streamed run interns and hashes
+chunk by chunk instead and feeds the same stacks the same way.
 
 **Seeding contract.**  Per-configuration seeds are spawned from the grid
 seed by position with :func:`spawn_seeds`, the engine-wide derivation,
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +49,6 @@ from ..stack.histogram import DistanceHistogram
 from ..stack.soa import SOA_STRATEGIES, SoAKRRStack, walk_backward_lanes
 from ..workloads.trace import Trace
 from .correction import DEFAULT_EXPONENT, corrected_k
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> core)
-    from ..engine.plan import TracePlan
 
 __all__ = [
     "MultiKRR",
@@ -259,7 +255,6 @@ class MultiKRR:
     def run(
         self,
         trace: Optional[Trace] = None,
-        plan: Optional["TracePlan"] = None,
         max_size: Optional[int] = None,
         chunk_size: int = DEFAULT_CHUNK,
         use_native: Optional[bool] = None,
@@ -267,10 +262,9 @@ class MultiKRR:
     ) -> List[SweepResult]:
         """Evaluate every cell in one streaming pass; ordered like ``configs``.
 
-        ``plan`` supplies a prepared :class:`~repro.engine.plan.TracePlan`
-        (cached factorization and hash columns); without one the same
-        columns are computed here, once for the whole grid.  ``use_native``
-        is forwarded to the SoA stacks.  ``chunk_size`` trades memory
+        The trace's dense key ids and each distinct sampling mask are
+        computed once here for the whole grid.  ``use_native`` is
+        forwarded to the SoA stacks.  ``chunk_size`` trades memory
         locality only — results are bit-identical for any value.
 
         ``stream`` accepts a bounded-memory
@@ -283,17 +277,11 @@ class MultiKRR:
         are **bit-identical** to the in-memory ``run(trace)`` over the
         concatenated stream, for any chunking (property-tested in
         ``tests/test_stream.py``).  The source chunking wins, so
-        ``chunk_size`` is ignored; ``plan`` cannot be combined with a
-        stream.
+        ``chunk_size`` is ignored.
         """
         if stream is not None:
             if trace is not None:
                 raise ValueError("pass either trace= or stream=, not both")
-            if plan is not None:
-                raise ValueError(
-                    "plan caches whole-trace columns; streams intern and "
-                    "hash per chunk instead"
-                )
             return self._run_stream(stream, max_size, use_native)
         if trace is None:
             raise ValueError("run() needs a trace or a stream")
@@ -301,28 +289,10 @@ class MultiKRR:
             raise ValueError("chunk_size must be >= 1")
         keys = trace.keys
         n = int(keys.shape[0])
-        if plan is not None:
-            kids = plan.key_ids
-            n_unique = plan.n_unique_keys
-        else:
-            key_table, kids = factorize_keys(keys)
-            n_unique = int(key_table.shape[0])
-        kids = np.ascontiguousarray(kids, dtype=np.int64)
-
-        # The grid-wide SoA state block: one slot row + one position row
-        # per cell.  Rows of a C-contiguous 2-D array are themselves
-        # contiguous, so each stack operates on its row zero-copy.
-        width = max(1, n_unique)
-        stack_block = np.zeros((len(self.configs), width), dtype=np.int64)
-        pos_block = np.empty((len(self.configs), width), dtype=np.int64)
-        cells, samplers = self._cells(use_native, stack_block, pos_block)
+        _, kids = factorize_keys(keys)
+        cells, samplers = self._cells(use_native)
         masks = {
-            mask_key: (
-                plan.sample_mask(sampler.threshold, sampler.modulus, sampler.seed)
-                if plan is not None
-                else sampler.mask(keys)
-            )
-            for mask_key, sampler in samplers.items()
+            mask_key: sampler.mask(keys) for mask_key, sampler in samplers.items()
         }
 
         # One pass: each chunk of dense ids visits every cell while hot.
@@ -345,8 +315,6 @@ class MultiKRR:
         from ..engine.plan import StreamingTracePlan
 
         splan = StreamingTracePlan()
-        # Growable stacks: a stream's distinct-key count is unknown up
-        # front, so the fixed grid-wide 2-D state block does not apply.
         cells, samplers = self._cells(use_native)
         for chunk in stream:
             splan.observe(chunk)
@@ -361,16 +329,9 @@ class MultiKRR:
         return self._collect_results(cells, splan.n_requests, max_size)
 
     def _cells(
-        self,
-        use_native: Optional[bool],
-        stack_block: Optional[np.ndarray] = None,
-        pos_block: Optional[np.ndarray] = None,
+        self, use_native: Optional[bool]
     ) -> Tuple[List["_Cell"], Dict[_MaskKey, SpatialSampler]]:
-        """One cell per configuration, plus one sampler per distinct mask.
-
-        With ``stack_block``/``pos_block`` each cell's stack runs on its
-        row of the grid-wide state block; without them the stacks grow.
-        """
+        """One cell per configuration, plus one sampler per distinct mask."""
         seeds = self.config_seeds()
         samplers: Dict[_MaskKey, SpatialSampler] = {}
         cells: List[_Cell] = []
@@ -392,8 +353,6 @@ class MultiKRR:
                 strategy=cfg.strategy,
                 rng=seeds[c],
                 use_native=use_native,
-                stack_buffer=None if stack_block is None else stack_block[c],
-                pos_buffer=None if pos_block is None else pos_block[c],
             )
             cells.append(
                 _Cell(cfg, seeds[c], stack, DistanceHistogram(scale=scale), mask_key)

@@ -93,8 +93,12 @@ class WindowedKRRModel:
         generations' :meth:`KRRModel.access_many` fused batch path.
         ``engine`` is forwarded per the :meth:`KRRModel.access_many`
         contract (``"scalar"`` default; snapshotting requires it).
+        ``sizes`` must be parallel to ``keys``; a length mismatch raises
+        ``ValueError`` before any segment is applied.
         """
         n = len(keys)
+        if sizes is not None and len(sizes) != n:
+            raise ValueError(f"{len(sizes)} sizes for {n} keys")
         start = 0
         while start < n:
             take = min(n - start, self._half - self._since_rotation)

@@ -2,11 +2,11 @@
 
 Seven pieces:
 
-* :mod:`repro.engine.plan` — :class:`TracePlan`: every trace-global
-  preparation pass (batched hashes, sampling masks per rate, dense key
-  factorization, occurrence indices) computed once and cached by trace
-  fingerprint, plus :class:`StreamingTracePlan`, its per-chunk sibling
-  for streamed traces.
+* :mod:`repro.engine.plan` — :func:`trace_fingerprint`, the CRC32
+  trace identity behind checkpoint signatures, and
+  :class:`StreamingTracePlan`: a streamed grid pass's per-chunk
+  preparation (first-seen key interning, hash columns shared by every
+  cell's sampling mask).
 * :mod:`repro.engine.sweep` — :class:`ModelSweep`: a grid of
   (K, strategy, sampling-rate) KRR configurations over one trace,
   evaluated in-process by :func:`~repro.engine.sweep.run_grid` — one
@@ -40,7 +40,7 @@ runs on the shared-memory store and the resilient runner.
 from .checkpoint import CheckpointMismatch, SweepCheckpoint
 from .faults import FaultPlan, maybe_inject
 from .fleet import FleetSweep, FleetTraceResult, fleet_sweep
-from .plan import StreamingTracePlan, TracePlan, clear_plan_cache, trace_fingerprint
+from .plan import StreamingTracePlan, trace_fingerprint
 from .runner import (
     ResilientRunner,
     RunReport,
@@ -73,10 +73,8 @@ __all__ = [
     "SweepResult",
     "TaskFailedError",
     "TaskReport",
-    "TracePlan",
     "TraceSpec",
     "TransientTaskError",
-    "clear_plan_cache",
     "fleet_sweep",
     "maybe_inject",
     "model_sweep",

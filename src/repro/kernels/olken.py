@@ -135,7 +135,6 @@ def batch_stack_distances(
     keys: np.ndarray,
     sizes: Optional[np.ndarray] = None,
     *,
-    prev: Optional[np.ndarray] = None,
     base_block: int = DEFAULT_BASE_BLOCK,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Exact pre-access LRU stack distances for a whole trace.
@@ -148,17 +147,10 @@ def batch_stack_distances(
     ``None`` unless ``sizes`` is given, in which case it is the inclusive
     byte-level distance (bytes of all more recent objects at their
     last-access sizes, plus the object's own pre-access size).
-
-    ``prev`` lets a cached previous-occurrence column (a
-    :class:`~repro.engine.plan.TracePlan` column) skip the factorization
-    argsort.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     n = int(keys.shape[0])
-    if prev is None:
-        prev = prev_occurrence(keys)
-    elif int(prev.shape[0]) != n:
-        raise ValueError("prev column length does not match keys")
+    prev = prev_occurrence(keys)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, (np.empty(0, dtype=np.int64) if sizes is not None else None)

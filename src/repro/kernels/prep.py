@@ -1,8 +1,9 @@
 """Vectorized trace-preparation primitives.
 
-Everything here is a pure function of the key column: computed once per
-trace and cached by :class:`repro.engine.plan.TracePlan`.  All outputs
-are plain ``int64``/``bool`` arrays.
+Everything here is a pure function of the key column, computed in one
+sort-based pass: dense key factorization (the in-memory grid's stack
+ids) and previous/next-occurrence indices (the Olken batch kernel and
+SHARDS's stack rebuild).  All outputs are plain ``int64`` arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "chunk_occurrence_masks",
     "factorize_keys",
     "next_occurrence",
     "prev_occurrence",
@@ -59,26 +59,3 @@ def next_occurrence(keys: np.ndarray) -> np.ndarray:
         nxt[order[:-1][same]] = order[1:][same]
     return nxt
 
-
-def chunk_occurrence_masks(
-    prev: np.ndarray, nxt: np.ndarray, chunk_size: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-chunk first/last-occurrence masks for chunked kernels.
-
-    For a trace split into contiguous chunks of ``chunk_size`` requests,
-    returns boolean arrays ``(first_in_chunk, last_in_chunk)``:
-    ``first_in_chunk[i]`` is True iff request ``i`` is its key's first
-    occurrence within its own chunk (its previous occurrence, if any, lies
-    in an earlier chunk), and symmetrically for ``last_in_chunk``.  These
-    are exactly the boundary sets a chunk-local pass must reconcile with
-    global state.
-    """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    n = int(prev.shape[0])
-    if nxt.shape[0] != n:
-        raise ValueError("prev and nxt must have the same length")
-    starts = (np.arange(n, dtype=np.int64) // chunk_size) * chunk_size
-    first_in_chunk = prev < starts
-    last_in_chunk = nxt >= starts + chunk_size
-    return first_in_chunk, last_in_chunk

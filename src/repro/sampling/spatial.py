@@ -65,26 +65,14 @@ class SpatialSampler:
         """Sampling decision for one key."""
         return splitmix64(key, self.seed) % self.modulus < self.threshold
 
-    def mask(self, keys: np.ndarray, hashes: Optional[np.ndarray] = None) -> np.ndarray:
-        """Vectorized sampling decisions for an array of keys.
-
-        ``hashes`` supplies a precomputed ``splitmix64(keys, seed)`` column
-        (e.g. a :class:`~repro.engine.plan.TracePlan` hash column) so the
-        keys are not re-hashed; it must have been built with this
-        sampler's seed.
-        """
-        h = (
-            hashes
-            if hashes is not None
-            else splitmix64(np.asarray(keys, dtype=np.int64), self.seed)
-        )
+    def mask(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorized sampling decisions for an array of keys."""
+        h = splitmix64(np.asarray(keys, dtype=np.int64), self.seed)
         return (h % np.uint64(self.modulus)) < np.uint64(self.threshold)
 
-    def filter_indices(
-        self, keys: np.ndarray, hashes: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def filter_indices(self, keys: np.ndarray) -> np.ndarray:
         """Indices of sampled requests within ``keys``."""
-        return np.flatnonzero(self.mask(keys, hashes))
+        return np.flatnonzero(self.mask(keys))
 
     def state_dict(self) -> Dict[str, Any]:
         """Exact filter parameters — ``threshold`` is stored directly so a
@@ -165,9 +153,8 @@ class FixedSizeSpatialSampler:
     def offer_hashed(self, key: int, hashed: int) -> bool:
         """:meth:`offer` with the key's ``splitmix64`` hash precomputed.
 
-        Lets batch consumers hash a whole key column vectorized (or reuse
-        a :class:`~repro.engine.plan.TracePlan` hash column) and stream
-        only the adaptive-threshold decision, which is inherently
+        Lets batch consumers hash a whole key column vectorized and
+        stream only the adaptive-threshold decision, which is inherently
         sequential.
         """
         h = hashed % self.modulus

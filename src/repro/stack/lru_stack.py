@@ -24,7 +24,7 @@ against, and the incremental path is still available via
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from ..kernels.olken import batch_stack_distances
 from ..workloads.trace import Trace
 from .fenwick import GrowableFenwick
 from .histogram import ByteDistanceHistogram, DistanceHistogram
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> stack)
-    from ..engine.plan import TracePlan
 
 __all__ = [
     "LinkedListLRUStack",
@@ -170,20 +167,15 @@ def lru_distance_stream(trace: Trace, use_tree: bool = True) -> Iterator[tuple[i
         yield stack.access(int(keys[i]), int(sizes[i]))
 
 
-def lru_distance_arrays(
-    trace: Trace, plan: Optional["TracePlan"] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+def lru_distance_arrays(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
     """Exact per-request ``(distances, byte_distances)`` for a whole trace.
 
     One call into the offline Olken batch kernel
     (:func:`repro.kernels.batch_stack_distances`); element ``i`` equals
     what ``stack.access(keys[i], sizes[i])`` would have returned on either
-    streaming stack (cold accesses are ``(-1, -1)``).  ``plan`` supplies a
-    precomputed previous-occurrence column (e.g. from a shared
-    :class:`~repro.engine.plan.TracePlan`) so it is not rebuilt here.
+    streaming stack (cold accesses are ``(-1, -1)``).
     """
-    prev = plan.prev_occurrence if plan is not None else None
-    return batch_stack_distances(trace.keys, trace.sizes, prev=prev)
+    return batch_stack_distances(trace.keys, trace.sizes)
 
 
 def lru_histograms(
@@ -191,7 +183,6 @@ def lru_histograms(
     use_tree: bool = True,
     byte_bin: int = 4096,
     vectorized: bool = True,
-    plan: Optional["TracePlan"] = None,
 ) -> tuple[DistanceHistogram, ByteDistanceHistogram]:
     """Run a trace through an exact LRU stack into both histograms.
 
@@ -206,7 +197,7 @@ def lru_histograms(
     obj_hist = DistanceHistogram()
     byte_hist = ByteDistanceHistogram(bin_bytes=byte_bin)
     if vectorized:
-        distances, byte_distances = lru_distance_arrays(trace, plan=plan)
+        distances, byte_distances = lru_distance_arrays(trace)
         obj_hist.record_many(distances)
         byte_hist.record_many(byte_distances.astype(np.float64))
         return obj_hist, byte_hist

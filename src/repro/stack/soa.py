@@ -10,9 +10,11 @@ work recommends: one flat ``int64`` array per field.
 * ``stack[slot] -> key id`` — stack order, top of stack at slot 0;
 * ``pos[key id] -> slot`` — the O(1) position lookup (``-1`` = absent);
 * ``sizes[key id]`` — last-written object size;
-* keys are *dense ids*: raw keys are factorized once per batch (or once
-  per trace by a :class:`~repro.engine.plan.TracePlan`), so the hot loop
-  never touches a Python dict or a boxed integer.
+* keys are *dense ids*: :meth:`~SoAKRRStack.access_many` interns raw
+  keys once per batch, and :meth:`~SoAKRRStack.access_many_interned`
+  takes ids a caller interned (a grid interns its keys once for all of
+  its cells), so the hot loop never touches a Python dict or a boxed
+  integer.  Every array grows on demand.
 
 ``access_many`` then processes whole request chunks: the inverse-CDF
 draw blocks are produced vectorized by
@@ -70,6 +72,9 @@ SOA_STRATEGIES = ("backward", "linear")
 
 _STATE_LEN = 6  # see _soa_kernel.c: [i, n_stack, bpos, cur_j, swaps, ref]
 
+#: Starting length of a stack's slot and id arrays (doubled on demand).
+_INITIAL_CAPACITY = 1024
+
 
 class SoAKRRStack:
     """Array-native KRR stack with batched, draw-identical updates.
@@ -83,17 +88,10 @@ class SoAKRRStack:
     rng:
         Seed or generator; the stream is consumed exactly as the scalar
         strategy with the same seed would consume it.
-    initial_capacity:
-        Starting length of the slot/id arrays (they double on demand).
     use_native:
         ``None`` (default) uses the compiled kernel when available;
         ``False`` forces the pure-Python walk (testing/diagnostics);
         ``True`` requires it (raises ``RuntimeError`` if unavailable).
-    stack_buffer / pos_buffer:
-        Preallocated ``int64`` state rows (e.g. rows of a grid-wide 2-D
-        array, as :class:`~repro.core.vkrr.MultiKRR` passes).  Both must
-        be given together, C-contiguous, and large enough for every
-        distinct key; growth is disabled in this mode.
     """
 
     def __init__(
@@ -101,10 +99,7 @@ class SoAKRRStack:
         k: float,
         strategy: str = "backward",
         rng: RngLike = None,
-        initial_capacity: int = 1024,
         use_native: Optional[bool] = None,
-        stack_buffer: Optional[np.ndarray] = None,
-        pos_buffer: Optional[np.ndarray] = None,
     ) -> None:
         if k <= 0:
             raise ValueError("K must be positive")
@@ -126,20 +121,11 @@ class SoAKRRStack:
                     "(set REPRO_NATIVE=1 and install cc/gcc/clang)"
                 )
 
-        if (stack_buffer is None) != (pos_buffer is None):
-            raise ValueError("stack_buffer and pos_buffer must be given together")
-        if stack_buffer is not None and pos_buffer is not None:
-            self._stack = self._check_buffer(stack_buffer, "stack_buffer")
-            self._pos = self._check_buffer(pos_buffer, "pos_buffer")
-            self._pos[:] = -1
-            self._fixed_capacity = True
-        else:
-            cap = max(1, int(initial_capacity))
-            self._stack = np.empty(cap, dtype=np.int64)
-            self._pos = np.full(cap, -1, dtype=np.int64)
-            self._fixed_capacity = False
+        # Slot and id arrays, doubled on demand by _ensure_capacity.
+        self._stack = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        self._pos = np.full(_INITIAL_CAPACITY, -1, dtype=np.int64)
+        self._sizes = np.ones(_INITIAL_CAPACITY, dtype=np.int64)
         self._n = 0
-        self._sizes = np.ones(self._pos.shape[0], dtype=np.int64)
 
         # Draw buffers, lazily filled on first use — exactly like the
         # scalar strategies, so construction consumes no generator state.
@@ -156,9 +142,8 @@ class SoAKRRStack:
         # Raw-key interning (unused when ids are supplied externally).
         self._ids: Dict[int, int] = {}
         self._id_keys: List[int] = []
-        self._key_table: Optional[np.ndarray] = None
-        # True once access_many_interned bound this stack to an external
-        # streaming interner (first-seen dense ids, no key table here).
+        # True once access_many_interned or walk_backward_lanes bound this
+        # stack to an external interner (the caller owns the key<->id map).
         self._external_dense = False
 
         #: Cumulative number of swap positions drawn (Fig 5.4's cost proxy).
@@ -167,14 +152,6 @@ class SoAKRRStack:
         self.updates = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _check_buffer(buffer: np.ndarray, name: str) -> np.ndarray:
-        if buffer.dtype != np.int64 or buffer.ndim != 1:
-            raise ValueError(f"{name} must be a 1-D int64 array")
-        if not buffer.flags.c_contiguous:
-            raise ValueError(f"{name} must be C-contiguous")
-        return buffer
-
     @property
     def uses_native_kernel(self) -> bool:
         """True when chain walks run in the compiled kernel."""
@@ -183,16 +160,6 @@ class SoAKRRStack:
     @property
     def tracks_sizes(self) -> bool:
         return False
-
-    @property
-    def uses_external_ids(self) -> bool:
-        """True once :meth:`access_many_ids` has bound a key table."""
-        return self._key_table is not None
-
-    @property
-    def has_interned_keys(self) -> bool:
-        """True once raw-key :meth:`access_many` has interned keys."""
-        return bool(self._ids)
 
     def __len__(self) -> int:
         return self._n
@@ -214,11 +181,6 @@ class SoAKRRStack:
                 "this stack consumes externally-interned dense ids "
                 "(access_many_interned); the caller owns the key<->id map"
             )
-        if self._key_table is not None:
-            idx = int(np.searchsorted(self._key_table, key))
-            if idx < self._key_table.shape[0] and int(self._key_table[idx]) == key:
-                return idx
-            return None
         return self._ids.get(key)
 
     def _key_of_id(self, kid: int) -> int:
@@ -227,8 +189,6 @@ class SoAKRRStack:
                 "this stack consumes externally-interned dense ids; "
                 "the caller owns the key<->id map"
             )
-        if self._key_table is not None:
-            return int(self._key_table[kid])
         return self._id_keys[kid]
 
     def keys_in_stack_order(self) -> List[int]:
@@ -254,15 +214,6 @@ class SoAKRRStack:
         """Room for ``incoming`` potential colds and ids up to ``max_kid``."""
         need_slots = self._n + incoming
         need_ids = max_kid + 1
-        if self._fixed_capacity:
-            if need_ids > self._pos.shape[0] or need_ids > self._stack.shape[0]:
-                raise ValueError(
-                    "fixed-capacity SoA stack too small for key ids up to "
-                    f"{max_kid} (capacity {self._pos.shape[0]})"
-                )
-            if self._sizes.shape[0] < need_ids:
-                self._sizes = self._grow(self._sizes, need_ids, 1)
-            return
         if self._stack.shape[0] < need_slots:
             self._stack = self._grow(self._stack, need_slots, 0)
         if self._pos.shape[0] < need_ids:
@@ -272,10 +223,10 @@ class SoAKRRStack:
 
     def _intern_keys(self, keys: np.ndarray) -> np.ndarray:
         """Map raw keys to dense ids, assigning fresh ids to unseen keys."""
-        if self._key_table is not None or self._external_dense:
+        if self._external_dense:
             raise RuntimeError(
-                "this stack was fed pre-factorized ids (access_many_ids/"
-                "access_many_interned); mixing raw-key access would corrupt "
+                "this stack was fed externally interned ids "
+                "(access_many_interned); mixing raw-key access would corrupt "
                 "the id space"
             )
         uniq, inverse = np.unique(keys, return_inverse=True)
@@ -318,36 +269,6 @@ class SoAKRRStack:
         kids = self._intern_keys(keys_arr)
         return self._access_ids(kids, sizes), None
 
-    def access_many_ids(
-        self,
-        kids: np.ndarray,
-        key_table: np.ndarray,
-        sizes: Union[np.ndarray, Sequence[int], None] = None,
-    ) -> np.ndarray:
-        """:meth:`access_many` on pre-factorized dense key ids.
-
-        ``kids`` must be ``key_table``-relative ids (``key_table`` sorted
-        ascending, as :func:`~repro.kernels.prep.factorize_keys` and
-        :class:`~repro.engine.plan.TracePlan` produce); the table is
-        retained for reverse lookups, and later raw-key calls are
-        rejected to keep the id space consistent.
-        """
-        if self._ids or self._external_dense:
-            raise RuntimeError(
-                "this stack already interned keys (raw or streaming); "
-                "cannot switch to pre-factorized table ids"
-            )
-        table = np.asarray(key_table, dtype=np.int64)
-        if self._key_table is not None and table is not self._key_table:
-            if not np.array_equal(table, self._key_table):
-                raise ValueError(
-                    "access_many_ids called with a different key table; "
-                    "ids from another trace would corrupt the stack"
-                )
-        self._key_table = table
-        kids = np.ascontiguousarray(np.asarray(kids, dtype=np.int64))
-        return self._access_ids(kids, sizes)
-
     def access_many_interned(
         self,
         kids: np.ndarray,
@@ -361,13 +282,12 @@ class SoAKRRStack:
         them — capacity grows on demand, so the distinct-key count never
         needs to be known up front.  Ids are opaque labels to the update
         walk (distances depend only on stack *positions*), so the
-        resulting distance sequence is bit-identical to
-        :meth:`access_many_ids` over the same trace with sorted-table
-        ids.  The caller owns the key<->id map; reverse lookups
-        (``position_of`` etc.) are refused in this mode, as is mixing
-        with the other access paths.
+        resulting distance sequence is bit-identical to :meth:`access_many`
+        over the raw keys.  The caller owns the key<->id map; reverse
+        lookups (``position_of`` etc.) are refused in this mode, as is
+        mixing with raw-key access.
         """
-        if self._ids or self._key_table is not None:
+        if self._ids:
             raise RuntimeError(
                 "this stack already interned keys via another access path; "
                 "mixing with streamed dense ids would corrupt the id space"
@@ -540,7 +460,7 @@ def walk_backward_lanes(
     if len({id(stack) for stack in stacks}) != len(stacks):
         # Two lanes on one stack would walk the same arrays at once.
         raise ValueError("walk_backward_lanes got the same stack twice")
-    if any(stack._ids or stack._key_table is not None for stack in stacks):
+    if any(stack._ids for stack in stacks):
         raise RuntimeError(
             "this stack already interned keys via another access path; "
             "mixing with streamed dense ids would corrupt the id space"

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.kernels import (
     batch_stack_distances,
-    chunk_occurrence_masks,
     factorize_keys,
     next_occurrence,
     prefix_leq,
@@ -67,25 +66,6 @@ class TestPrep:
             expected.append(last.get(k, -1))
             last[k] = i
         assert np.array_equal(prev_occurrence(keys), expected)
-
-    def test_chunk_occurrence_masks(self):
-        keys = np.array([1, 2, 1, 3, 1, 2], dtype=np.int64)
-        prev = prev_occurrence(keys)
-        nxt = next_occurrence(keys)
-        first, last = chunk_occurrence_masks(prev, nxt, 2)
-        # Chunks: [1,2] [1,3] [1,2].  Every request here is its key's only
-        # occurrence within its chunk, so both masks are all-True.
-        assert first.all() and last.all()
-        first, last = chunk_occurrence_masks(prev, nxt, 3)
-        # Chunks: [1,2,1] [3,1,2]: index 2 re-accesses key 1 within chunk 0.
-        assert np.array_equal(first, [True, True, False, True, True, True])
-        assert np.array_equal(last, [False, True, True, True, True, True])
-
-    def test_chunk_masks_validate(self):
-        with pytest.raises(ValueError):
-            chunk_occurrence_masks(np.zeros(3), np.zeros(3), 0)
-        with pytest.raises(ValueError):
-            chunk_occurrence_masks(np.zeros(3), np.zeros(2), 4)
 
 
 class TestPrefixLeq:
@@ -161,15 +141,6 @@ class TestBatchStackDistances:
         exp_d, exp_b = oracle_distances(keys, sizes)
         assert np.array_equal(dists, exp_d)
         assert np.array_equal(byte_dists, exp_b)
-
-    def test_precomputed_prev_column(self):
-        keys = np.array([3, 1, 3, 1, 3], dtype=np.int64)
-        prev = prev_occurrence(keys)
-        d1, _ = batch_stack_distances(keys)
-        d2, _ = batch_stack_distances(keys, prev=prev)
-        assert np.array_equal(d1, d2)
-        with pytest.raises(ValueError):
-            batch_stack_distances(keys, prev=prev[:-1])
 
     def test_size_length_mismatch(self):
         with pytest.raises(ValueError):

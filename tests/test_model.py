@@ -6,6 +6,7 @@ import pytest
 
 from repro import KRRModel, model_trace
 from repro.core.correction import corrected_k
+from repro.core.model import ModelStats
 from repro.mrc import mean_absolute_error
 from repro.simulator import byte_klru_mrc, klru_mrc
 from repro.workloads import Trace, msr, twitter
@@ -119,6 +120,29 @@ class TestStreamingVsBatch:
         assert a.rotations == b.rotations
         assert a.counters() == b.counters()
         assert a.state_dict() == b.state_dict()
+
+    @pytest.mark.parametrize("feed", ["scalar", "soa", "windowed"])
+    def test_access_many_rejects_sizes_not_parallel_to_keys(self, feed):
+        # Sizes not parallel to keys must raise before any counter, engine
+        # pin or stack update; the windowed model must not apply a first
+        # rotation segment either.
+        from repro.core.windowed import WindowedKRRModel
+
+        for sizes in ([5], [5, 6], [5, 6, 7, 8, 9]):
+            if feed == "windowed":
+                w = WindowedKRRModel(k=2, window=4, seed=0)
+                with pytest.raises(ValueError):
+                    w.access_many([1, 2, 3, 4], sizes)
+                assert w.requests_seen == 0 and w.rotations == 0
+                models = [w._current, w._warming]
+            else:
+                m = KRRModel(k=2, seed=0)
+                with pytest.raises(ValueError):
+                    m.access_many([1, 2, 3, 4], sizes, engine=feed)
+                models = [m]
+            for m in models:
+                assert m.stats == ModelStats() and m.engine is None
+                assert len(m._stack) == 0 and m._soa is None
 
     def test_sampling_reduces_sampled_count(self):
         trace = _zipf_trace(2000, 10_000)

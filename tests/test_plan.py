@@ -1,7 +1,6 @@
-"""Tests for the TracePlan preparation cache and its consumers.
+"""Tests for the SHARDS batch paths and the streaming plan's interning.
 
-Covers: plan-cache identity and eviction, mask equivalence against the
-streaming samplers, the plan-aware fast paths in KRRModel / SHARDS, and
+Covers: the SHARDS batch fast paths against per-access streaming, and
 the streaming plan's chunk interning.
 """
 
@@ -11,15 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.shards import FixedSizeShards, Shards
-from repro.core.model import KRRModel
-from repro.engine import (
-    StreamingTracePlan,
-    TracePlan,
-    clear_plan_cache,
-    trace_fingerprint,
-)
-from repro.kernels import next_occurrence, prev_occurrence
-from repro.sampling.spatial import SpatialSampler
+from repro.engine import StreamingTracePlan
 from repro.workloads.trace import Trace
 from repro.workloads.zipf import ScrambledZipfGenerator
 
@@ -32,99 +23,7 @@ def mixed_trace(rng) -> Trace:
     return Trace(keys, sizes, name="mixed")
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
-
-
-class TestPlanCache:
-    def test_same_trace_same_plan(self, mixed_trace):
-        assert TracePlan.for_trace(mixed_trace) is TracePlan.for_trace(
-            mixed_trace
-        )
-
-    def test_fingerprint_matches_module_function(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        assert plan.fingerprint == trace_fingerprint(mixed_trace)
-
-    def test_cache_bounded(self, rng):
-        first = TracePlan.for_trace(Trace(np.arange(10), name="t0"))
-        for i in range(1, 12):
-            TracePlan.for_trace(Trace(np.arange(10) + i, name=f"t{i}"))
-        # More insertions than the LRU bound: the first plan was evicted
-        # and a re-request builds a fresh object.
-        assert TracePlan.for_trace(Trace(np.arange(10), name="t0")) is not first
-
-    def test_clear(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        clear_plan_cache()
-        assert TracePlan.for_trace(mixed_trace) is not plan
-
-
-class TestPlanColumns:
-    def test_occurrence_columns(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        assert np.array_equal(
-            plan.prev_occurrence, prev_occurrence(mixed_trace.keys)
-        )
-        assert np.array_equal(
-            plan.next_occurrence, next_occurrence(mixed_trace.keys)
-        )
-
-    def test_factorization(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        assert np.array_equal(
-            plan.unique_keys[plan.key_ids], mixed_trace.keys
-        )
-        assert plan.n_unique_keys == plan.unique_keys.shape[0]
-
-    def test_hash_column_per_seed(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        h0, h1 = plan.hashes(0), plan.hashes(1)
-        assert h0 is plan.hashes(0)  # cached
-        assert not np.array_equal(h0, h1)
-
-    def test_sample_mask_matches_sampler(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        for rate in (0.01, 0.1, 0.5):
-            s = SpatialSampler(rate)
-            assert np.array_equal(
-                plan.sample_mask(s.threshold, s.modulus, s.seed),
-                s.mask(mixed_trace.keys),
-            )
-            assert np.array_equal(
-                plan.sample_indices(s.threshold, s.modulus, s.seed),
-                s.filter_indices(mixed_trace.keys),
-            )
-
-    def test_sample_indices_cached(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        s = SpatialSampler(0.05)
-        idx = plan.sample_indices(s.threshold, s.modulus, s.seed)
-        assert idx is plan.sample_indices(s.threshold, s.modulus, s.seed)
-
-    def test_chunk_masks_delegate(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        first, last = plan.chunk_masks(64)
-        assert first.shape == (len(mixed_trace),)
-        assert first.dtype == np.bool_ and last.dtype == np.bool_
-
-
 class TestPlanAwareConsumers:
-    def test_krr_model_identical_with_plan(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        a = KRRModel(k=4, sampling_rate=0.1, seed=11, track_sizes=True)
-        b = KRRModel(k=4, sampling_rate=0.1, seed=11, track_sizes=True)
-        ra = a.process(mixed_trace, plan=plan)
-        rb = b.process(mixed_trace)
-        assert a.stats.requests_sampled == b.stats.requests_sampled
-        assert np.array_equal(ra.mrc().miss_ratios, rb.mrc().miss_ratios)
-        assert np.array_equal(
-            ra.byte_mrc().miss_ratios, rb.byte_mrc().miss_ratios
-        )
-
     def test_shards_batch_path_matches_streaming(self, mixed_trace):
         fast = Shards(rate=0.1, byte_bin=1024).process(mixed_trace)
         slow = Shards(rate=0.1, byte_bin=1024)
@@ -166,19 +65,8 @@ class TestPlanAwareConsumers:
             ref.access(int(mixed_trace.keys[i]), int(mixed_trace.sizes[i]))
         assert np.array_equal(warm.mrc().miss_ratios, ref.mrc().miss_ratios)
 
-    def test_shards_plan_argument(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        with_plan = Shards(rate=0.1).process(mixed_trace, plan=plan)
-        without = Shards(rate=0.1).process(mixed_trace)
-        assert np.array_equal(
-            with_plan.mrc().miss_ratios, without.mrc().miss_ratios
-        )
-
     def test_fixed_size_shards_batch_matches_streaming(self, mixed_trace):
-        plan = TracePlan.for_trace(mixed_trace)
-        fast = FixedSizeShards(s_max=300, seed=2).process(
-            mixed_trace, plan=plan
-        )
+        fast = FixedSizeShards(s_max=300, seed=2).process(mixed_trace)
         slow = FixedSizeShards(s_max=300, seed=2)
         for i in range(len(mixed_trace)):
             slow.access(int(mixed_trace.keys[i]), int(mixed_trace.sizes[i]))

@@ -17,7 +17,6 @@ from repro.core.correction import corrected_k
 from repro.core.eviction import expected_swap_positions
 from repro.core.krr import KRRStack
 from repro.core.model import KRRModel
-from repro.engine.plan import TracePlan, clear_plan_cache
 from repro.kernels.prep import factorize_keys
 from repro.sampling.spatial import SpatialSampler
 from repro.stack._native import native_kernel_active
@@ -166,42 +165,12 @@ class TestStackApi:
         with pytest.raises(ValueError):
             SoAKRRStack(0)
 
-    def test_rejects_mismatched_buffers(self):
-        with pytest.raises(ValueError):
-            SoAKRRStack(4, stack_buffer=np.zeros(8, dtype=np.int64))
-
-    def test_fixed_capacity_overflow_raises(self):
-        s = SoAKRRStack(
-            4,
-            rng=0,
-            stack_buffer=np.zeros(2, dtype=np.int64),
-            pos_buffer=np.zeros(2, dtype=np.int64),
-        )
-        with pytest.raises(ValueError):
-            s.access_many([1, 2, 3])
-
-    def test_external_ids_reject_raw_key_mixing(self):
-        s = SoAKRRStack(4, rng=0)
-        table = np.asarray([10, 20], dtype=np.int64)
-        s.access_many_ids(np.asarray([0, 1], dtype=np.int64), table)
-        assert s.uses_external_ids
-        with pytest.raises(RuntimeError):
-            s.access_many([10, 20])
-        with pytest.raises(ValueError):
-            s.access_many_ids(
-                np.asarray([0], dtype=np.int64),
-                np.asarray([10, 30], dtype=np.int64),
-            )
-
     def test_interned_keys_reject_external_ids(self):
         s = SoAKRRStack(4, rng=0)
         s.access_many([10, 20])
-        assert s.has_interned_keys
         with pytest.raises(RuntimeError):
-            s.access_many_ids(
-                np.asarray([0], dtype=np.int64),
-                np.asarray([10, 20], dtype=np.int64),
-            )
+            s.access_many_interned(np.asarray([0], dtype=np.int64))
+        assert s.updates == 2 and sorted(s.keys_in_stack_order()) == [10, 20]
 
     def test_lanes_walk_rejects_bad_lanes(self):
         kids = np.asarray([1, 2, 1], dtype=np.int64)
@@ -214,16 +183,13 @@ class TestStackApi:
             walk_backward_lanes([SoAKRRStack(4, strategy="linear", rng=0)], [kids])
         assert s.updates == 0
         # Same id-space guard as access_many_interned: a stack that holds
-        # raw-key or key-table ids refuses streamed ids, and a stack the
-        # lanes walk fed refuses reverse lookups.
+        # raw-key ids refuses streamed ids, and a stack the lanes walk fed
+        # refuses reverse lookups.
         raw = SoAKRRStack(4, rng=0)
         raw.access_many([10, 20])
-        tabled = SoAKRRStack(4, rng=0)
-        tabled.access_many_ids(kids[:1], np.asarray([5, 6, 7], dtype=np.int64))
-        for bound in (raw, tabled):
-            with pytest.raises(RuntimeError):
-                walk_backward_lanes([s, bound], [kids, kids])
-        assert s.updates == 0 and raw.updates == 2 and tabled.updates == 1
+        with pytest.raises(RuntimeError):
+            walk_backward_lanes([s, raw], [kids, kids])
+        assert s.updates == 0 and raw.updates == 2
         walk_backward_lanes([s], [kids])
         assert s.updates == 3
         with pytest.raises(RuntimeError):
@@ -304,17 +270,3 @@ class TestModelEngine:
         assert m.engine == "scalar"
         m.process(trace)  # auto -> stays scalar
         assert m.engine == "scalar"
-
-    def test_process_with_plan_matches_without(self):
-        clear_plan_cache()
-        trace = self.make_trace(seed=5)
-        plan = TracePlan.for_trace(trace)
-        for rate in (None, 0.5):
-            a = KRRModel(k=4, sampling_rate=rate, seed=11)
-            a.process(trace, engine="soa")
-            b = KRRModel(k=4, sampling_rate=rate, seed=11)
-            b.process(trace, plan=plan, engine="soa")
-            ca, cb = a.mrc(), b.mrc()
-            assert np.array_equal(ca.sizes, cb.sizes)
-            assert np.array_equal(ca.miss_ratios, cb.miss_ratios)
-            assert a.stats.cold_misses == b.stats.cold_misses

@@ -413,20 +413,30 @@ rate_st = st.sampled_from([None, 0.5])
 
 @settings(max_examples=25, deadline=None)
 @given(
-    trace=trace_st,
+    trace=sized_trace_st,
     chunk_size=st.integers(1, 97),
     engine=engine_st,
     rate=rate_st,
     k=st.integers(1, 6),
+    track_sizes=st.booleans(),
 )
-def test_streamed_krr_model_bit_identical(trace, chunk_size, engine, rate, k):
-    mem = KRRModel(k=k, sampling_rate=rate, seed=5)
+def test_streamed_krr_model_bit_identical(
+    trace, chunk_size, engine, rate, k, track_sizes
+):
+    if track_sizes:
+        engine = "scalar"  # byte distances live on the scalar stack only
+    kwargs = dict(k=k, sampling_rate=rate, track_sizes=track_sizes, seed=5)
+    mem = KRRModel(**kwargs)
     mem.process(trace, engine=engine)
-    streamed = KRRModel(k=k, sampling_rate=rate, seed=5)
+    streamed = KRRModel(**kwargs)
     streamed.process(stream=iter_chunks(trace, chunk_size), engine=engine)
     assert mem.stats == streamed.stats
     if mem.stats.requests_sampled:  # else both histograms are empty
         assert np.array_equal(mem.mrc().miss_ratios, streamed.mrc().miss_ratios)
+    if track_sizes and mem.stats.requests_sampled > mem.stats.cold_misses:
+        assert np.array_equal(
+            mem.byte_mrc().miss_ratios, streamed.byte_mrc().miss_ratios
+        )
 
 
 @settings(max_examples=15, deadline=None)
