@@ -43,6 +43,7 @@ OBJECT_SIZE = 10
 N_THREADS = 4
 MAX_ABS_ERR = 0.02
 MAX_OVERHEAD = 0.15
+CHUNK = 65_536  # requests per offline-model access_many call
 
 
 def _capacity(n_objects):
@@ -107,8 +108,9 @@ def _offline_curve(keys, rate):
     from repro.core.model import KRRModel
 
     model = KRRModel(k=K, sampling_rate=rate, seed=0)
-    for key in keys:
-        model.access(key, OBJECT_SIZE)
+    for lo in range(0, len(keys), CHUNK):
+        chunk = keys[lo : lo + CHUNK]
+        model.access_many(chunk, [OBJECT_SIZE] * len(chunk))
     return model.mrc()
 
 

@@ -2,21 +2,26 @@
 
 Measures, on a 500k-request zipf trace (50k objects, alpha=0.99):
 
-1. **Streaming engines** — `KRRModel.process` through (a) a faithful
-   replica of the original per-access loop (`stack.access(int(keys[i]))` +
-   per-request histogram record, i.e. the pre-engine code path), (b) the
-   fused scalar `access_many` batch path, and (c) the array-native SoA
-   engine (`engine="soa"`, native chain-walk kernel when a C compiler is
-   available).  All three must produce bit-identical curves.  The SoA
-   run is also split into stages: its swap count, its wall time per swap,
-   and the cost per draw of a standalone `backward_draw_block` loop over
-   as many draws as the run consumed, so walk time and draw time can be
-   told apart.
+1. **Streaming engines** — the same K=5 model three ways: (a) a faithful
+   replica of the original per-access loop over the scalar `KRRStack`
+   (`stack.access(int(keys[i]))` + per-request histogram record, i.e.
+   the pre-engine code path), (b) the scalar `KRRStack.access_many`
+   batch loop — the unfused reference, which draws each swap chain
+   through `BackwardUpdate.swap_positions` as Algorithm 2 is written —
+   and (c) `KRRModel.process`, which runs on the array-native SoA stack
+   (native chain-walk kernel when a C compiler is available).  (a) and
+   (b) build their `KRRStack` and `DistanceHistogram` directly on the
+   model's seed, and all three must produce bit-identical curves.  The
+   SoA run is also split into stages: its swap count, its wall time per
+   swap, and the cost per draw of a standalone `backward_draw_block`
+   loop over as many draws as the run consumed, so walk time and draw
+   time can be told apart.
 2. **MultiKRR one-pass grid** — the 12-config (K x sampling-rate) grid
    evaluated in one streaming pass, bit-identity-checked against an
-   oracle of 12 independent scalar-engine `KRRModel` runs with the same
-   spawned seeds.  Its swap count and wall time per swap sit beside the
-   single-config SoA figures (ungated).
+   oracle of 12 independent scalar references (spatial filter, `KRRStack`
+   and `DistanceHistogram`, built directly) with the same spawned seeds.
+   Its swap count and wall time per swap sit beside the single-config
+   SoA figures (ungated).
 3. **ModelSweep one pass** — the same grid through `ModelSweep.run`
    (the streamed one-pass body) against the per-cell loop it replaced:
    one `KRRModel.process(trace)` run per config with the spawned seeds,
@@ -42,6 +47,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -64,28 +70,61 @@ COUNTERS = (
 )
 
 
-def _legacy_process(model, trace):
+def _legacy_process(trace, seed):
     """The pre-engine per-access loop, preserved verbatim as the baseline.
 
-    One ``stack.access`` call per request with NumPy scalar unboxing
-    (``int(keys[i])``), a result tuple per access, and one histogram
-    ``record`` call per request.
+    One scalar ``stack.access`` call per request with NumPy scalar
+    unboxing (``int(keys[i])``), a result tuple per access, and one
+    histogram ``record`` call per request.  Returns the curve.
     """
+    from repro._util import ensure_rng
+    from repro.core.correction import corrected_k
+    from repro.core.krr import KRRStack
+    from repro.mrc.builder import from_distance_histogram
+    from repro.stack.histogram import DistanceHistogram
+
     keys = trace.keys
     sizes = trace.sizes
-    model.stats.requests_seen += int(keys.shape[0])
-    model.stats.requests_sampled += int(keys.shape[0])
-    stack = model._stack
-    obj_hist = model._obj_hist
-    cold = 0
+    stack = KRRStack(corrected_k(K), rng=ensure_rng(seed))
+    obj_hist = DistanceHistogram()
     for i in range(keys.shape[0]):
         dist, _byte_dist = stack.access(int(keys[i]), int(sizes[i]))
         if dist < 0:
-            cold += 1
             obj_hist.record_cold()
         else:
             obj_hist.record(dist)
-    model.stats.cold_misses += cold
+    return from_distance_histogram(obj_hist)
+
+
+def _scalar_reference(trace, k, seed, rate=None, strategy="backward"):
+    """``KRRModel`` rebuilt from its parts on the scalar stack.
+
+    The spatial filter, a ``KRRStack`` at ``corrected_k(k)`` on ``seed``
+    fed through its ``access_many`` loop, and a ``DistanceHistogram``;
+    returns the curve and the five ``ModelStats`` counters in order.
+    """
+    from repro._util import ensure_rng
+    from repro.core.correction import corrected_k
+    from repro.core.krr import KRRStack
+    from repro.mrc.builder import from_distance_histogram
+    from repro.sampling.spatial import SpatialSampler
+    from repro.stack.histogram import DistanceHistogram
+
+    keys = trace.keys
+    sampler = SpatialSampler(rate) if rate is not None else None
+    kept = keys[sampler.filter_indices(keys)] if sampler is not None else keys
+    stack = KRRStack(corrected_k(k), strategy=strategy, rng=ensure_rng(seed))
+    hist = DistanceHistogram(scale=sampler.scale if sampler is not None else 1.0)
+    distances, _ = stack.access_many(kept.tolist())
+    hist.record_many(distances)
+    counters = (
+        int(keys.shape[0]),
+        int(kept.shape[0]),
+        distances.count(-1),
+        stack.updates,
+        stack.total_swaps,
+    )
+    return from_distance_histogram(hist), counters
 
 
 def bench_engines(trace, seed=1):
@@ -93,29 +132,26 @@ def bench_engines(trace, seed=1):
     from repro.stack import native_kernel_active
 
     n = len(trace)
-    legacy_model = KRRModel(k=K, seed=seed)
     t0 = time.perf_counter()
-    _legacy_process(legacy_model, trace)
+    legacy_curve = _legacy_process(trace, seed)
     legacy_s = time.perf_counter() - t0
 
-    scalar_model = KRRModel(k=K, seed=seed)
     t0 = time.perf_counter()
-    scalar_model.process(trace, engine="scalar")
+    scalar_curve, _ = _scalar_reference(trace, K, seed)
     scalar_s = time.perf_counter() - t0
 
     soa_model = KRRModel(k=K, seed=seed)
     t0 = time.perf_counter()
-    soa_model.process(trace, engine="soa")
+    soa_model.process(trace)
     soa_s = time.perf_counter() - t0
     soa_swaps = soa_model.stats.swap_positions
     draw_ns = _draw_ns_per_draw(
-        soa_model._stack.k, soa_swaps - soa_model.stats.stack_updates, seed
+        soa_model.effective_k, soa_swaps - soa_model.stats.stack_updates, seed
     )
 
-    legacy_curve = legacy_model.mrc().miss_ratios
     identical = bool(
-        np.array_equal(legacy_curve, scalar_model.mrc().miss_ratios)
-        and np.array_equal(legacy_curve, soa_model.mrc().miss_ratios)
+        np.array_equal(legacy_curve.miss_ratios, scalar_curve.miss_ratios)
+        and np.array_equal(legacy_curve.miss_ratios, soa_model.mrc().miss_ratios)
     )
     return {
         "requests": n,
@@ -157,11 +193,12 @@ def _draw_ns_per_draw(k, draws, seed):
     return (time.perf_counter() - t0) / (blocks * DRAW_BLOCK) * 1e9
 
 
-def _per_cell_models(trace, configs, seeds, engine="auto"):
-    """One independent ``KRRModel.process`` run per config (the oracle)."""
+def _per_cell_models(trace, configs, seeds):
+    """One independent ``KRRModel.process`` run per config: each cell's
+    ``(curve, counters)``."""
     from repro import KRRModel
 
-    models = []
+    cells = []
     for cfg, cell_seed in zip(configs, seeds):
         model = KRRModel(
             k=cfg.k,
@@ -170,26 +207,22 @@ def _per_cell_models(trace, configs, seeds, engine="auto"):
             correction=cfg.correction,
             seed=cell_seed,
         )
-        model.process(trace, engine=engine)
-        models.append(model)
-    return models
+        model.process(trace)
+        cells.append((model.mrc(), astuple(model.stats)))
+    return cells
 
 
-def _rows_match_models(rows, models):
+def _rows_match(rows, cells):
     """Curves and all five counters bit-identical, cell by cell."""
-    for row, model in zip(rows, models):
-        curve = model.mrc()
+    for row, (curve, counters) in zip(rows, cells):
         if not (
             np.array_equal(row.sizes, curve.sizes)
             and row.sizes.dtype == curve.sizes.dtype
             and np.array_equal(row.miss_ratios, curve.miss_ratios)
-            and all(
-                getattr(row, name) == getattr(model.stats, name)
-                for name in COUNTERS
-            )
+            and tuple(getattr(row, name) for name in COUNTERS) == counters
         ):
             return False
-    return len(rows) == len(models)
+    return len(rows) == len(cells)
 
 
 def bench_multi_krr(trace, seed=3):
@@ -200,15 +233,18 @@ def bench_multi_krr(trace, seed=3):
     rows = grid.run(trace)
     multi_s = time.perf_counter() - t0
 
-    # The oracle: N fully independent scalar-engine KRRModel runs with the
-    # same spawned per-config seeds.
+    # The oracle: N fully independent scalar references with the same
+    # spawned per-config seeds.
     t0 = time.perf_counter()
-    oracle = _per_cell_models(
-        trace, grid.configs, grid.config_seeds(), engine="scalar"
-    )
+    oracle = [
+        _scalar_reference(
+            trace, cfg.k, cell_seed, cfg.sampling_rate, cfg.strategy
+        )
+        for cfg, cell_seed in zip(grid.configs, grid.config_seeds())
+    ]
     oracle_s = time.perf_counter() - t0
 
-    identical = _rows_match_models(rows, oracle)
+    identical = _rows_match(rows, oracle)
     multi_swaps = sum(row.swap_positions for row in rows)
     return {
         "n_configs": len(grid),
@@ -235,9 +271,9 @@ def bench_sweep(trace, seed=3):
         one_pass_s = min(one_pass_s, time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        models = _per_cell_models(trace, sweep.configs, seeds)
+        cells = _per_cell_models(trace, sweep.configs, seeds)
         per_cell_s = min(per_cell_s, time.perf_counter() - t0)
-        identical = identical and _rows_match_models(rows, models)
+        identical = identical and _rows_match(rows, cells)
     return {
         "n_configs": len(sweep),
         "repeats": SWEEP_REPEATS,
@@ -328,7 +364,7 @@ def main(argv=None):
         f"streaming engines (K=5, native kernel: {engines['native_kernel']}):",
         f"  per-access  {engines['legacy_s']:8.2f}s  "
         f"{engines['legacy_requests_per_s']:>10,} req/s",
-        f"  scalar      {engines['scalar_s']:8.2f}s  "
+        f"  scalar ref  {engines['scalar_s']:8.2f}s  "
         f"{engines['scalar_requests_per_s']:>10,} req/s  "
         f"({engines['scalar_speedup_vs_legacy']:.2f}x)",
         f"  soa         {engines['soa_s']:8.2f}s  "

@@ -79,12 +79,12 @@ def bench_streamed_soa(trace, chunk_dir, seed=1):
 
     mem_model = KRRModel(k=K, seed=seed)
     t0 = time.perf_counter()
-    mem_model.process(trace, engine="soa")
+    mem_model.process(trace)
     mem_s = time.perf_counter() - t0
 
     str_model = KRRModel(k=K, seed=seed)
     t0 = time.perf_counter()
-    str_model.process(stream=reader, engine="soa")
+    str_model.process(stream=reader)
     str_s = time.perf_counter() - t0
 
     identical = bool(
@@ -222,15 +222,14 @@ from repro.core.model import KRRModel
 _RSS_STREAMED = _RSS_TEMPLATE.format(body="""
 from repro.core.model import KRRModel
 from repro.workloads.stream import ChunkedTraceReader
-KRRModel(k={k}, seed=1).process(
-    stream=ChunkedTraceReader(sys.argv[1]), engine="soa")
+KRRModel(k={k}, seed=1).process(stream=ChunkedTraceReader(sys.argv[1]))
 """)
 
 _RSS_MATERIALIZED = _RSS_TEMPLATE.format(body="""
 from repro.core.model import KRRModel
 from repro.workloads.stream import ChunkedTraceReader
 trace = ChunkedTraceReader(sys.argv[1]).read_all()
-KRRModel(k={k}, seed=1).process(trace, engine="soa")
+KRRModel(k={k}, seed=1).process(trace)
 """)
 
 

@@ -39,8 +39,7 @@ def main() -> None:
           + " | sampled")
     for start in range(0, len(trace), snapshot_every):
         chunk = trace[start : start + snapshot_every]
-        for i in range(len(chunk)):
-            model.access(int(chunk.keys[i]))
+        model.access_many(chunk.keys)
         curve = model.mrc()
         cells = " | ".join(f"{float(curve(s)):6.3f}" for s in probe_sizes)
         print(f"{start + len(chunk):>10} | {cells} |  {model.stats.requests_sampled}")

@@ -11,7 +11,11 @@ every request also feeds a bank of lightweight KRR+spatial models (one per
 candidate K); every ``retune_interval`` requests the cache switches to the
 candidate with the lowest predicted miss ratio at its own capacity.  A
 sliding ``window`` optionally resets the bank so the models track workload
-phase changes instead of averaging over history.
+phase changes instead of averaging over history.  The bank is fed in
+batches: references are buffered and flushed through
+:meth:`~repro.core.model.KRRModel.access_many` whenever the models are
+read or replaced, which is draw-for-draw the same as feeding them one
+request at a time, so no decision changes.
 """
 
 from __future__ import annotations
@@ -134,6 +138,9 @@ class AdaptiveKLRUCache:
         )
         self._models: dict[int, KRRModel] = {}
         self._build_models()
+        # Keys not yet fed to the bank (see _flush); the candidate models
+        # count objects, so sizes are not kept.
+        self._pending: list[int] = []
         self._requests = 0
         self.events: list[RetuneEvent] = []
 
@@ -166,16 +173,24 @@ class AdaptiveKLRUCache:
     # ------------------------------------------------------------------
     def access(self, key: int, size: int = 1) -> bool:
         self._requests += 1
-        for model in self._models.values():
-            model.access(key, size)
+        self._pending.append(key)
         hit = self._cache.access(key, size)
         if self._requests % self.retune_interval == 0:
             self._retune()
         if self.window and self._requests % self.window == 0:
+            self._flush()
             self._build_models()
         return hit
 
+    def _flush(self) -> None:
+        """Feed the buffered references to every candidate model."""
+        if self._pending:
+            for model in self._models.values():
+                model.access_many(self._pending)
+            self._pending = []
+
     def _retune(self) -> None:
+        self._flush()
         best, predicted, skipped = choose_best_k(self._models, self.capacity)
         if best is None:
             return  # every candidate still cold; keep the current K
@@ -191,6 +206,7 @@ class AdaptiveKLRUCache:
 
     def predicted_miss_ratios(self) -> dict[int, float]:
         """Current per-candidate predictions at this cache's capacity."""
+        self._flush()
         return {
             k: float(m.mrc()(self.capacity))
             for k, m in self._models.items()

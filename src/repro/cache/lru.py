@@ -545,15 +545,13 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
                     # object-granularity models ignore sizes entirely
                     kept_sizes = None
                 # Batched feed: each model consumes the survivors through
-                # its fused access_many path (draw-for-draw identical to
-                # per-reference access; the models hold independent RNGs,
-                # so feeding whole batches per model commutes).  The
-                # cache never snapshots its models, so engine="auto" may
-                # pick the array-native SoA stack where supported.
+                # access_many (draw-for-draw identical to per-reference
+                # access; the models hold independent RNGs, so feeding
+                # whole batches per model commutes).
                 if self._model is not None:
-                    self._model.access_many(kept_kids, kept_sizes, engine="auto")
+                    self._model.access_many(kept_kids, kept_sizes)
                 for candidate in self._bank.values():
-                    candidate.access_many(kept_kids, kept_sizes, engine="auto")
+                    candidate.access_many(kept_kids, kept_sizes)
 
     def _maybe_retune_locked(self) -> None:
         if self._references - self._last_retune_at >= self.retune_interval:

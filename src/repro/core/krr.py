@@ -161,14 +161,17 @@ class KRRStack:
     def access_many(
         self, keys: List[int], sizes: Optional[List[int]] = None
     ) -> tuple[List[int], Optional[List[float]]]:
-        """Batched :meth:`access`: one fused loop over many requests.
+        """Batched :meth:`access`: one loop over many requests.
 
         Returns ``(distances, byte_distances)``; ``byte_distances`` is
         ``None`` unless ``track_sizes``.  Draw-for-draw identical to an
         equivalent sequence of :meth:`access` calls — same RNG consumption,
-        same final stack order — but substantially faster: attribute and
-        method lookups are hoisted out of the loop, the cyclic shift is
-        inlined, and no per-access result tuple is allocated.
+        same final stack order — with attribute and method lookups hoisted
+        out of the loop, the cyclic shift inlined, and no per-access
+        result tuple.  Every strategy draws through its
+        ``swap_positions``, as the paper writes it (Algorithm 2 for
+        backward): this stack is the reference that
+        :class:`~repro.stack.soa.SoAKRRStack` is checked against.
 
         ``keys``/``sizes`` should be Python lists (callers convert NumPy
         columns with ``tolist()`` once; NumPy scalar unboxing inside the
@@ -197,25 +200,6 @@ class KRRStack:
         distances = []
         record = distances.append
         total_swaps = 0
-        fused = getattr(self._strategy, "apply_fused", None)
-        if fused is not None:
-            # Backward strategy: draw chain and cyclic shift fuse into one
-            # loop (no swap-list allocation at all).
-            for key, size in zip(keys, sizes):
-                idx = pos_get(key)
-                if idx is None:
-                    stack_append(key)
-                    phi = len(stack)
-                    pos[key] = phi - 1
-                    record(-1)
-                else:
-                    phi = idx + 1
-                    record(phi)
-                total_swaps += fused(phi, stack, pos)
-                obj_sizes[key] = size
-            self.total_swaps += total_swaps
-            self.updates += len(distances)
-            return distances, None
         swap_positions = self._strategy.swap_positions
         for key, size in zip(keys, sizes):
             idx = pos_get(key)

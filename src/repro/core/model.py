@@ -5,7 +5,11 @@ cache's eviction sampling size ``K``, stream requests (or feed a whole
 :class:`~repro.workloads.trace.Trace`), and read out miss ratio curves at
 object or byte granularity.  Internally it wires together:
 
-* the :class:`~repro.core.krr.KRRStack` with the chosen update strategy,
+* one KRR stack, picked by the configuration: the array-native
+  :class:`~repro.stack.soa.SoAKRRStack` for the backward and linear
+  strategies at object granularity, the scalar
+  :class:`~repro.core.krr.KRRStack` for ``topdown`` and byte distances
+  (:func:`~repro.stack.soa.soa_supports` decides),
 * the ``K' = K^1.4`` correction (§4.2, on by default),
 * SHARDS-style spatial sampling (§2.4, optional; ``sampling_rate="auto"``
   applies the paper's rate-selection rule),
@@ -34,7 +38,7 @@ from ..mrc.builder import from_byte_histogram, from_distance_histogram
 from ..mrc.curve import MissRatioCurve
 from ..sampling.spatial import SpatialSampler, choose_rate
 from ..stack.histogram import ByteDistanceHistogram, DistanceHistogram
-from ..stack.soa import SOA_STRATEGIES, SoAKRRStack
+from ..stack.soa import SoAKRRStack, int64_keys, soa_supports
 from ..workloads.trace import Trace
 from .correction import DEFAULT_EXPONENT, corrected_k
 from .krr import KRRStack
@@ -127,7 +131,6 @@ class KRRModel:
             "byte_bin": int(byte_bin),
         }
         self._rng = ensure_rng(seed)
-        self._strategy_name = strategy
         self._auto_rate = sampling_rate == "auto"
         if sampling_rate is None:
             self._sampler: Optional[SpatialSampler] = None
@@ -135,18 +138,19 @@ class KRRModel:
             self._sampler = None  # resolved per trace in process()
         else:
             self._sampler = SpatialSampler(float(sampling_rate))
-        self._stack = KRRStack(
-            self.effective_k,
-            strategy=strategy,
-            rng=self._rng,
-            track_sizes=track_sizes,
-            size_array_base=size_array_base,
-        )
-        # The SoA engine shares self._rng and is built lazily: strategy
-        # draw buffers only fill on first use, so whichever engine touches
-        # the generator first owns the (identical) stream.
-        self._soa: Optional[SoAKRRStack] = None
-        self._engine: Optional[str] = None
+        self._stack: Union[SoAKRRStack, KRRStack]
+        if soa_supports(strategy, track_sizes):
+            self._stack = SoAKRRStack(
+                self.effective_k, strategy=strategy, rng=self._rng
+            )
+        else:
+            self._stack = KRRStack(
+                self.effective_k,
+                strategy=strategy,
+                rng=self._rng,
+                track_sizes=track_sizes,
+                size_array_base=size_array_base,
+            )
         scale = self._sampler.scale if self._sampler else 1.0
         self._obj_hist = DistanceHistogram(scale=scale)
         self._byte_hist = (
@@ -165,58 +169,26 @@ class KRRModel:
     def tracks_sizes(self) -> bool:
         return self._stack.tracks_sizes
 
-    @property
-    def engine(self) -> Optional[str]:
-        """The resolved streaming engine (None until the first request)."""
-        return self._engine
-
-    def _resolve_engine(self, engine: str) -> str:
-        """Validate and pin the engine; it is sticky once draws started."""
-        if engine not in ("auto", "scalar", "soa"):
-            raise ValueError(f"unknown engine {engine!r}")
-        soa_capable = (
-            self._strategy_name in SOA_STRATEGIES and not self.tracks_sizes
-        )
-        if engine == "auto":
-            if self._engine is not None:
-                return self._engine  # stay on whatever already drew
-            engine = "soa" if soa_capable else "scalar"
-        elif engine == "soa" and not soa_capable:
-            if self.tracks_sizes:
-                raise ValueError(
-                    "engine='soa' does not track byte distances; "
-                    "use engine='scalar' with track_sizes=True"
-                )
-            raise ValueError(
-                f"engine='soa' supports strategies {SOA_STRATEGIES}, "
-                f"not {self._strategy_name!r}"
-            )
-        if self._engine is None:
-            self._engine = engine
-        elif self._engine != engine:
-            raise RuntimeError(
-                f"model already streamed through engine={self._engine!r}; "
-                "engines share one RNG stream and cannot be switched mid-run"
-            )
-        return self._engine
-
-    def _resolve_auto_sampler(self, trace: Trace) -> None:
-        rate = choose_rate(max(1, trace.unique_objects()))
+    def _set_sampler(self, rate: float) -> None:
         self._sampler = SpatialSampler(rate)
         self._obj_hist.scale = self._sampler.scale
         if self._byte_hist is not None:
             self._byte_hist.scale = self._sampler.scale
 
-    # ------------------------------------------------------------------
-    def access(self, key: int, size: int = 1) -> None:
-        """Stream one request into the model (always the scalar engine)."""
-        self._resolve_engine("scalar")
+    def _default_stream_rate(self) -> None:
         if self._auto_rate and self._sampler is None:
             # Streaming use without a trace: fall back to the default rate.
-            self._sampler = SpatialSampler(0.001)
-            self._obj_hist.scale = self._sampler.scale
-            if self._byte_hist is not None:
-                self._byte_hist.scale = self._sampler.scale
+            self._set_sampler(0.001)
+
+    # ------------------------------------------------------------------
+    def access(self, key: int, size: int = 1) -> None:
+        """Stream one request into the model.
+
+        Draw-for-draw identical to :meth:`access_many` of the one
+        request.  On the SoA stack each call pays for a whole batch call
+        (tens of microseconds), so feed batches where there are any.
+        """
+        self._default_stream_rate()
         self.stats.requests_seen += 1
         if self._sampler is not None and not self._sampler.keep(key):
             return
@@ -236,24 +208,16 @@ class KRRModel:
         self,
         keys: "list[int] | np.ndarray",
         sizes: "list[int] | np.ndarray | None" = None,
-        engine: str = "scalar",
     ) -> None:
         """Stream a batch of requests, without snapshotting.
 
         Draw-for-draw identical to calling :meth:`access` per request —
         same sampling decisions, same RNG consumption, same histograms —
         but batched: the spatial filter runs one vectorized hash pass and
-        the stack consumes one fused batch loop.  This is the one feed
+        the stack consumes the batch in one call.  This is the one feed
         path: :meth:`process` hands it a whole trace, a stream hands it
-        one chunk at a time, and the service and the cache's buffered
-        model feed hand it their batches.
-
-        ``engine`` selects the stack (``"scalar"`` / ``"soa"`` /
-        ``"auto"``; see :meth:`process`) and is sticky per model.  The
-        default is ``"scalar"`` — unlike :meth:`process` — because
-        long-lived online models need :meth:`state_dict`, which the SoA
-        engine does not support; callers that never snapshot (the cache)
-        pass ``"auto"``.
+        one chunk at a time, and the service, the cache and the adaptive
+        cache hand it their buffered batches.
 
         ``keys`` may be a list of Python ints or a NumPy integer column
         (a ``uint64`` column is reinterpreted mod 2^64, exactly as scalar
@@ -264,34 +228,14 @@ class KRRModel:
         n = len(keys)
         if sizes is not None and len(sizes) != n:
             raise ValueError(f"{len(sizes)} sizes for {n} keys")
-        engine = self._resolve_engine(engine)
-        if self._auto_rate and self._sampler is None:
-            self._sampler = SpatialSampler(0.001)
-            self._obj_hist.scale = self._sampler.scale
-            if self._byte_hist is not None:
-                self._byte_hist.scale = self._sampler.scale
+        self._default_stream_rate()
         if n == 0:
             return
         self.stats.requests_seen += n
-        key_list: Optional[list] = None
-        if isinstance(keys, np.ndarray):
-            arr = (
-                keys.view(np.int64)
-                if keys.dtype == np.uint64
-                else np.asarray(keys, dtype=np.int64)
-            )
-        else:
-            key_list = list(keys)
-            try:
-                arr = np.asarray(key_list, dtype=np.int64)
-            except OverflowError:
-                # Keys outside int64 range (e.g. raw 64-bit hashes):
-                # wrap mod 2^64, exactly as scalar splitmix64 does.
-                arr = np.fromiter(
-                    (k & 0xFFFFFFFFFFFFFFFF for k in key_list),
-                    dtype=np.uint64,
-                    count=n,
-                ).view(np.int64)
+        # The scalar stack keeps raw keys as labels; everything else sees
+        # them reduced mod 2^64.
+        key_list = None if isinstance(keys, np.ndarray) else list(keys)
+        arr = int64_keys(keys if key_list is None else key_list)
         if self._sampler is not None:
             idx = self._sampler.filter_indices(arr)
             if int(idx.shape[0]) != n:
@@ -306,8 +250,10 @@ class KRRModel:
         self.stats.requests_sampled += n
         if n == 0:
             return
-        if engine == "soa":
-            self._process_soa(arr, sizes)
+        if isinstance(self._stack, SoAKRRStack):
+            distances, _ = self._stack.access_many(arr, sizes)
+            self._obj_hist.record_many(distances)
+            self.stats.cold_misses += int(np.count_nonzero(distances == -1))
         else:
             if isinstance(sizes, np.ndarray):
                 sizes = sizes.tolist()
@@ -322,29 +268,9 @@ class KRRModel:
     def process(
         self,
         trace: Optional[Trace] = None,
-        engine: str = "auto",
         stream: Optional["Iterable[Trace]"] = None,
     ) -> "KRRResult":
         """Feed a whole trace through the batched hot path and snapshot.
-
-        ``engine`` selects the streaming implementation:
-
-        * ``"scalar"`` — the fused per-access loop over the boxed
-          :class:`~repro.core.krr.KRRStack` (supports every strategy and
-          byte tracking).
-        * ``"soa"`` — the array-native
-          :class:`~repro.stack.soa.SoAKRRStack` (backward/linear only,
-          object granularity only; an order of magnitude faster when the
-          native kernel is available).
-        * ``"auto"`` (default) — ``"soa"`` whenever this model's
-          configuration supports it, else ``"scalar"``.
-
-        Both engines consume the model seed's stream in the identical
-        refill pattern and apply the identical update arithmetic, so the
-        choice is **bit-invisible**: distances, histograms and counters
-        match draw for draw (property-tested in ``tests/test_soa_engine``).
-        The engine is sticky per model — both share one generator, so
-        switching mid-run would desynchronize the stream and is refused.
 
         The trace goes through :meth:`access_many` in one call: the
         spatial filter runs over the key column vectorized, the surviving
@@ -353,13 +279,17 @@ class KRRModel:
         NumPy scalar unboxing inside its loop is ~10x slower), with one
         ``bincount`` pass per histogram.  Draw-for-draw identical to
         streaming :meth:`access` per request, given the same seed and
-        sampler.
+        sampler.  The SoA stack consumes the seed's stream in the scalar
+        reference's refill pattern with the same update arithmetic, so
+        distances, histograms and counters match the scalar
+        :class:`~repro.core.krr.KRRStack` draw for draw
+        (property-tested in ``tests/test_soa_engine``).
 
         ``stream`` accepts a bounded-memory
         :class:`~repro.workloads.stream.TraceStream` (any iterable of
         trace chunks) instead of ``trace``: each chunk goes through the
         same :meth:`access_many` call.  Because the spatial filter is
-        stateless per key and both engines buffer their draws across
+        stateless per key and both stacks buffer their draws across
         calls, a streamed run is **bit-identical** to processing the
         concatenated trace in one shot, for any chunk size
         (property-tested in ``tests/test_stream.py``).  A stream has no
@@ -369,44 +299,30 @@ class KRRModel:
         if stream is not None:
             if trace is not None:
                 raise ValueError("pass either trace= or stream=, not both")
-            return self._process_stream(stream, engine)
+            return self._process_stream(stream)
         if trace is None:
             raise ValueError("process() needs a trace or a stream")
         if self._auto_rate and self._sampler is None:
-            self._resolve_auto_sampler(trace)
-        self.access_many(trace.keys, trace.sizes, engine=engine)
+            self._set_sampler(choose_rate(max(1, trace.unique_objects())))
+        self.access_many(trace.keys, trace.sizes)
         self._sync_stats()
         return self.result()
 
-    def _process_stream(self, stream: "Iterable[Trace]", engine: str) -> "KRRResult":
+    def _process_stream(self, stream: "Iterable[Trace]") -> "KRRResult":
         """Streamed half of :meth:`process`: one hot-path pass per chunk."""
-        engine = self._resolve_engine(engine)
         if self._auto_rate and self._sampler is None:
             raise ValueError(
                 "sampling_rate='auto' needs the whole trace's unique-object "
                 "count up front; pass an explicit rate when streaming"
             )
         for chunk in stream:
-            self.access_many(chunk.keys, chunk.sizes, engine=engine)
+            self.access_many(chunk.keys, chunk.sizes)
         self._sync_stats()
         return self.result()
 
-    def _process_soa(
-        self, keys: np.ndarray, sizes: "list[int] | np.ndarray | None"
-    ) -> None:
-        """SoA half of :meth:`access_many`: flat-array stack, numpy distances."""
-        if self._soa is None:
-            self._soa = SoAKRRStack(
-                self.effective_k, strategy=self._strategy_name, rng=self._rng
-            )
-        distances, _ = self._soa.access_many(keys, sizes)
-        self._obj_hist.record_many(distances)
-        self.stats.cold_misses += int(np.count_nonzero(distances == -1))
-
     def _sync_stats(self) -> None:
-        stack = self._soa if self._soa is not None else self._stack
-        self.stats.stack_updates = stack.updates
-        self.stats.swap_positions = stack.total_swaps
+        self.stats.stack_updates = self._stack.updates
+        self.stats.swap_positions = self._stack.total_swaps
 
     # ------------------------------------------------------------------
     def mrc(self, max_size: int | None = None, label: str | None = None) -> MissRatioCurve:
@@ -435,7 +351,7 @@ class KRRModel:
     STATE_VERSION = 1
 
     def state_dict(self) -> dict:
-        """JSON-safe snapshot of the full model state (scalar engine).
+        """JSON-safe snapshot of the full model state.
 
         Captures the constructor configuration, the PCG64 generator state,
         the strategy's buffered draws, the stack, both histograms, the
@@ -443,23 +359,15 @@ class KRRModel:
         :meth:`load_state`/:meth:`from_state` to resume *bit-identically*:
         a restored model consumes the identical draw stream and reports
         the identical curves as one that never stopped (floats survive
-        JSON via ``repr`` round-tripping).
-
-        Raises :class:`NotImplementedError` once the SoA engine holds
-        state; snapshotting covers the scalar streaming path (the one
-        long-lived online models use).
+        JSON via ``repr`` round-tripping).  Both stacks write one layout
+        (:meth:`KRRStack.state_dict <repro.core.krr.KRRStack.state_dict>`),
+        so a snapshot restores whichever stack this configuration builds.
         """
-        if self._soa is not None:
-            raise NotImplementedError(
-                "state_dict() supports the scalar engine; this model has "
-                "streamed through engine='soa'"
-            )
         rng_state = self._rng.bit_generator.state
         return {
             "kind": self.STATE_KIND,
             "version": self.STATE_VERSION,
             "config": dict(self._config),
-            "engine": self._engine,
             "rng": rng_state,
             "stack": self._stack.state_dict(),
             "obj_hist": self._obj_hist.state_dict(),
@@ -494,10 +402,6 @@ class KRRModel:
                 "model state was captured under a different configuration: "
                 f"{state['config']!r} != {self._config!r}"
             )
-        engine = state.get("engine")
-        if engine == "soa":  # pragma: no cover - state_dict refuses first
-            raise NotImplementedError("cannot restore SoA-engine state")
-        self._engine = engine
         self._rng.bit_generator.state = state["rng"]
         self._stack.load_state(state["stack"])
         self._obj_hist.load_state(state["obj_hist"])

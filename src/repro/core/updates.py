@@ -41,7 +41,7 @@ __all__ = [
 
 
 #: Draw-buffer block size shared by every consumer of a strategy's RNG
-#: stream.  The scalar strategies and the SoA engine
+#: stream.  The scalar strategies and the SoA stack
 #: (:mod:`repro.stack.soa`) both refill in blocks of exactly this many
 #: ``Generator.random`` draws, which is what makes their consumption
 #: patterns — and therefore their results — bit-identical.  That
@@ -64,7 +64,7 @@ def backward_draw_block(
     vectorized ``u^(1/K)`` is ~20x cheaper than scalar ``pow`` in the
     chain loop).  This is the *single* source of backward-update draws:
     :class:`BackwardUpdate` serves the block as Python floats and the SoA
-    engine consumes the array directly, so for the same generator state
+    stack consumes the array directly, so for the same generator state
     both paths see exactly the same IEEE-754 values in the same order.
 
     The block is computed in place, in ``out`` (a C-contiguous
@@ -74,7 +74,7 @@ def backward_draw_block(
     scalar-exponent fast paths (``sqrt``, ``square``, copy) exactly where
     ``u ** inv_k`` does.
 
-    Bit identity across engines and chunkings therefore holds per host
+    Bit identity across stacks and chunkings therefore holds per host
     class (CPU SIMD level plus NumPy build), not across hosts.  On an
     AVX-512 host with NumPy 2.4, the array ``power`` differs from libm
     ``pow`` by one ulp on about 6% of draws, and NumPy's scalar
@@ -102,7 +102,7 @@ class SurvivalTable:
     sweep (Python floats, shared list identity so growth is free) and
     :meth:`as_array` feeds the vectorized SoA path; both views expose the
     *same* float64 values, computed once, so survival comparisons agree
-    bit-for-bit across engines.
+    bit-for-bit across stacks.
 
     Entries 0 and 1 are 0.0: positions below 2 are never drawn against.
     """
@@ -155,8 +155,9 @@ class _BufferedUniform:
     NumPy scalar wrapper, whose arithmetic is ~10x slower) keeps draws cheap
     while preserving seeded reproducibility.  The first block is drawn
     lazily on first use, so constructing a strategy consumes no generator
-    state (the engine selector in :class:`~repro.core.model.KRRModel`
-    relies on this to hand the untouched generator to either engine).
+    state — as in :class:`~repro.stack.soa.SoAKRRStack`, which is what
+    lets a scalar reference stack and an SoA stack built on the same seed
+    consume the identical stream.
     """
 
     __slots__ = ("_rng", "_buf", "_pos", "_block")
@@ -208,7 +209,7 @@ class LinearUpdate:
         # Survival probabilities ((i-1)/i)^K depend only on the position,
         # not the access: the process-wide shared table caches them
         # (grow-on-demand, indexed by position) instead of paying one
-        # pow() per position per access — and the SoA engine compares
+        # pow() per position per access — and the SoA stack compares
         # against the very same values.
         self._table = survival_table(self.k)
 
@@ -257,11 +258,12 @@ class BackwardUpdate:
         self._rng = ensure_rng(rng)
         # The first block is drawn lazily (pos == _BLOCK forces a refill
         # on first use): constructing the strategy consumes no generator
-        # state, so an engine selector can still hand the untouched
-        # generator to the SoA path.
+        # state, exactly like the SoA stack it is the reference for.
         self._buf: List[float] = []
         self._pos = self._BLOCK
-        self._refills = -1  # first _refill() brings it to 0
+        # Refill count, kept in the snapshot layout both stacks share;
+        # the first _refill() brings it to 0.
+        self._refills = -1
 
     def _refill(self) -> None:
         # One shared inverse-CDF block transform (see backward_draw_block);
@@ -317,49 +319,6 @@ class BackwardUpdate:
         self._pos = pos
         rev.reverse()
         return rev
-
-    def apply_fused(self, phi: int, stack: list, pos: dict) -> int:
-        """Draw the swap chain and apply its cyclic shift in one pass.
-
-        The backward chain is generated top-down (``phi`` first) — exactly
-        the order :func:`apply_swaps` consumes a sorted swap set bottom-up —
-        so the draw and the shift fuse into a single loop with no swap-list
-        allocation.  Consumes the same buffered draws as
-        ``swap_positions(phi)`` (draw-for-draw parity) and leaves ``stack``/
-        ``pos`` exactly as ``apply_swaps`` would.  Returns the size of the
-        equivalent swap-position set (for the cost counters).
-        """
-        if phi < 1:
-            raise ValueError("phi must be >= 1")
-        if phi == 1:
-            return 1
-        referenced = stack[phi - 1]
-        buf = self._buf
-        bpos = self._pos
-        block = self._BLOCK
-        draws_before = self._refills * block + bpos
-        # Zero-based loop over slot indices: j is the slot receiving the
-        # displaced resident, y = ceil(u*j) - 1 the slot it comes from.
-        # u in (0, 1] makes ceil(u*j) land in [1, j] already, so the
-        # defensive clamps of swap_positions() are provably dead here.
-        j = phi - 1
-        while j > 0:
-            if bpos >= block:
-                self._refill()
-                buf = self._buf
-                bpos = 0
-            v = buf[bpos] * j
-            bpos += 1
-            t = int(v)
-            y = t if t < v else t - 1
-            moved = stack[y]
-            stack[j] = moved
-            pos[moved] = j
-            j = y
-        stack[0] = referenced
-        pos[referenced] = 0
-        self._pos = bpos
-        return 1 + self._refills * block + bpos - draws_before
 
 
 class TopDownUpdate:

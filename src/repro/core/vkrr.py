@@ -26,10 +26,11 @@ Cells are :class:`SweepConfig` points and results are
 :class:`SweepResult` rows — the one config and result type of every grid
 evaluator (:class:`~repro.engine.sweep.ModelSweep` and
 :class:`~repro.engine.fleet.FleetSweep` run their SoA-capable cells
-through MultiKRR).  Strategies are limited to the SoA-capable set
-(``backward``/``linear``); ``topdown`` and byte-level tracking
-(``track_sizes``) need the scalar engine, which ``ModelSweep`` runs as a
-second pass.
+through MultiKRR).  Cells are limited to what
+:func:`~repro.stack.soa.soa_supports` accepts (``backward``/``linear``
+at object granularity); ``topdown`` and byte-level tracking
+(``track_sizes``) need the scalar :class:`~repro.core.krr.KRRStack`,
+which ``ModelSweep`` runs as a second pass, one ``KRRModel`` per cell.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from ..mrc.builder import from_distance_histogram, from_points
 from ..mrc.curve import MissRatioCurve
 from ..sampling.spatial import SpatialSampler
 from ..stack.histogram import DistanceHistogram
-from ..stack.soa import SOA_STRATEGIES, SoAKRRStack, walk_backward_lanes
+from ..stack.soa import SoAKRRStack, soa_supports, walk_backward_lanes
 from ..workloads.trace import Trace
 from .correction import DEFAULT_EXPONENT, corrected_k
 
@@ -199,15 +200,10 @@ class MultiKRR:
         if not self.configs:
             raise ValueError("need at least one grid configuration")
         for cfg in self.configs:
-            if cfg.strategy not in SOA_STRATEGIES:
+            if not soa_supports(cfg.strategy, cfg.track_sizes):
                 raise ValueError(
-                    f"MultiKRR supports strategies {SOA_STRATEGIES}; "
-                    f"{cfg.strategy!r} needs the scalar engine (ModelSweep)"
-                )
-            if cfg.track_sizes:
-                raise ValueError(
-                    "MultiKRR does not track byte distances; "
-                    "use ModelSweep for track_sizes grids"
+                    f"MultiKRR runs backward/linear cells at object "
+                    f"granularity; {cfg} needs the scalar stack (ModelSweep)"
                 )
             check_sampling_size(int(cfg.k))
         self.seed = int(seed)

@@ -7,11 +7,17 @@ and "warming") and rotates them every half window: the reported curve
 always reflects between half a window and a full window of recent
 requests, with no cold-start gap at rotation — the standard two-generation
 trick for streaming statistics.
+
+Both generations are ordinary :class:`~repro.core.model.KRRModel`
+instances, so they run on whichever stack their configuration picks and
+snapshot through :meth:`KRRModel.state_dict`.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
+
+import numpy as np
 
 from .._util import RngLike, check_positive, ensure_rng
 from ..mrc.curve import MissRatioCurve
@@ -68,33 +74,21 @@ class WindowedKRRModel:
 
     # ------------------------------------------------------------------
     def access(self, key: int, size: int = 1) -> None:
-        self.requests_seen += 1
-        self._since_rotation += 1
-        self._current.access(key, size)
-        self._warming.access(key, size)
-        if self._since_rotation >= self._half:
-            # The warming model now holds half a window: promote it.
-            self._current = self._warming
-            self._warming = self._fresh()
-            self._since_rotation = 0
-            self.rotations += 1
+        """Stream one request (:meth:`access_many` of one request)."""
+        self.access_many([key], [size])
 
     def access_many(
         self,
-        keys: "list[int]",
-        sizes: "Optional[list[int]]" = None,
-        engine: str = "scalar",
+        keys: "list[int] | np.ndarray",
+        sizes: "list[int] | np.ndarray | None" = None,
     ) -> None:
         """Stream a batch of requests (the service and cache ingest path).
 
-        Equivalent to calling :meth:`access` per request — same rotation
-        points, same draws — but batched: the stream is split at the
-        rotation boundaries and each segment goes through the two
-        generations' :meth:`KRRModel.access_many` fused batch path.
-        ``engine`` is forwarded per the :meth:`KRRModel.access_many`
-        contract (``"scalar"`` default; snapshotting requires it).
-        ``sizes`` must be parallel to ``keys``; a length mismatch raises
-        ``ValueError`` before any segment is applied.
+        The stream is split at the rotation boundaries and each segment
+        goes through both generations' :meth:`KRRModel.access_many`, so
+        the rotation points and draws do not depend on how the requests
+        are batched.  ``sizes`` must be parallel to ``keys``; a length
+        mismatch raises ``ValueError`` before any segment is applied.
         """
         n = len(keys)
         if sizes is not None and len(sizes) != n:
@@ -105,22 +99,20 @@ class WindowedKRRModel:
             stop = start + take
             chunk_keys = keys[start:stop]
             chunk_sizes = sizes[start:stop] if sizes is not None else None
-            self._current.access_many(chunk_keys, chunk_sizes, engine=engine)
-            self._warming.access_many(chunk_keys, chunk_sizes, engine=engine)
+            self._current.access_many(chunk_keys, chunk_sizes)
+            self._warming.access_many(chunk_keys, chunk_sizes)
             self.requests_seen += take
             self._since_rotation += take
             start = stop
             if self._since_rotation >= self._half:
+                # The warming model now holds half a window: promote it.
                 self._current = self._warming
                 self._warming = self._fresh()
                 self._since_rotation = 0
                 self.rotations += 1
 
     def process(self, trace: Trace) -> "WindowedKRRModel":
-        keys = trace.keys
-        sizes = trace.sizes
-        for i in range(keys.shape[0]):
-            self.access(int(keys[i]), int(sizes[i]))
+        self.access_many(trace.keys, trace.sizes)
         return self
 
     # ------------------------------------------------------------------

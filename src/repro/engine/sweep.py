@@ -9,8 +9,9 @@ to a whole grid.  :func:`run_grid` is the engine's one grid body:
 :class:`~repro.engine.fleet.FleetSweep` worker calls it once per trace.
 It streams the trace at most twice:
 
-* the SoA-capable cells (``backward``/``linear``, object granularity)
-  run as one :class:`~repro.core.vkrr.MultiKRR` pass — every cell
+* the cells :func:`~repro.stack.soa.soa_supports` accepts
+  (``backward``/``linear``, object granularity) run as one
+  :class:`~repro.core.vkrr.MultiKRR` pass — every cell
   consumes each chunk while it is hot, sharing the interner and the
   per-chunk hash columns;
 * the remaining scalar cells (``topdown``, ``track_sizes``) share one
@@ -40,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.model import KRRModel
 from ..core.vkrr import MultiKRR, SweepConfig, SweepResult, spawn_seeds
-from ..stack.soa import SOA_STRATEGIES
+from ..stack.soa import soa_supports
 from ..workloads.stream import DEFAULT_CHUNK, TraceStream, open_trace_stream
 from ..workloads.trace import Trace
 from .checkpoint import Row, SweepCheckpoint
@@ -61,10 +62,6 @@ _COUNTERS = (
     "stack_updates",
     "swap_positions",
 )
-
-
-def _soa_capable(config: SweepConfig) -> bool:
-    return config.strategy in SOA_STRATEGIES and not config.track_sizes
 
 
 def checkpointed_results(
@@ -122,7 +119,7 @@ def _scalar_pass(
     for chunk in stream:
         sizes = chunk.sizes.tolist()
         for model in models:
-            model.access_many(chunk.keys, sizes, engine="scalar")
+            model.access_many(chunk.keys, sizes)
     results = []
     for config, seed, model in zip(configs, seeds, models):
         if config.track_sizes:
@@ -169,8 +166,11 @@ def run_grid(
     missing = [i for i in range(len(configs)) if i not in done]
     if missing:
         stream = open_trace_stream(source, chunk_size, errors)
-        soa_cells = [i for i in missing if _soa_capable(configs[i])]
-        scalar_cells = [i for i in missing if not _soa_capable(configs[i])]
+        soa_cells = [
+            i for i in missing
+            if soa_supports(configs[i].strategy, configs[i].track_sizes)
+        ]
+        scalar_cells = [i for i in missing if i not in soa_cells]
         passes = ((soa_cells, _soa_pass), (scalar_cells, _scalar_pass))
         for cells, run_pass in passes:
             if not cells:

@@ -128,6 +128,29 @@ def _curve_payload(
     return payload
 
 
+def _checked_batch(keys: List[int], sizes: Optional[List[int]]) -> List[int]:
+    """Validate one ingest batch; returns its keys as signed 64-bit ints.
+
+    Keys must lie in [-2^63, 2^64), and sizes, when given, must be
+    parallel to them and lie in [0, 2^63).  Keys >= 2^63 map to their
+    signed 64-bit value, so the WAL record, the queue message and the
+    shared-memory column carry the same integers; the models and SHARDS
+    reduce keys mod 2^64 anyway, so no result changes.
+    """
+    if not keys:
+        raise ValueError("empty batch")
+    if min(keys) < -(2**63) or max(keys) >= 2**64:
+        raise ValueError("keys must be 64-bit integers in [-2^63, 2^64)")
+    if sizes is not None:
+        if len(sizes) != len(keys):
+            raise ValueError(f"{len(sizes)} sizes for {len(keys)} keys")
+        if min(sizes) < 0 or max(sizes) >= 2**63:
+            raise ValueError("sizes must be integers in [0, 2^63)")
+    if max(keys) >= 2**63:
+        keys = [key - 2**64 if key >= 2**63 else key for key in keys]
+    return keys
+
+
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
@@ -599,12 +622,14 @@ class Supervisor:
         Raises :class:`Backpressure` when the tenant's queue is full (or
         earlier accepted batches are still waiting for queue space) and
         :class:`TenantUnavailable` for an unknown tenant.  A batch is
-        acked only after its WAL append has been fsynced.
+        acked only after its WAL append has been fsynced.  A batch no
+        worker could apply raises ``ValueError`` before that append (see
+        :func:`_checked_batch`): once durable, it would be replayed into
+        every restarted worker.
         """
         t = self._tenant(tenant_id)
         maybe_inject("ingest")
-        if not keys:
-            raise ValueError("empty batch")
+        keys = _checked_batch(keys, sizes)
         with t.lock:
             if t.overflow or t.inbox.full():
                 raise Backpressure(tenant_id, self.retry_after)

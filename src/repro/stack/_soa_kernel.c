@@ -5,11 +5,13 @@
  * referenced key's slot in the flat position array, records the
  * pre-update stack distance, then walks the backward update's
  * inverse-CDF swap chain (Algorithm 2) over the flat stack array.  The
- * arithmetic computes EXACTLY the slot of
- * repro.core.updates.BackwardUpdate.apply_fused — `v = buf[bpos] * j`,
- * truncate, `y = t < v ? t : t - 1` — so for the same draw buffer the
- * kernel is draw-for-draw and slot-for-slot identical to the scalar
- * Python oracle.  The draw buffers themselves are produced in Python by
+ * arithmetic computes EXACTLY the slot of the stack's pure-Python walk
+ * (SoAKRRStack._walk_backward_python) — `v = buf[bpos] * j`, truncate,
+ * `y = t < v ? t : t - 1`, the zero-based form of
+ * repro.core.updates.BackwardUpdate.swap_positions' `ceil(u * (i - 1))` —
+ * so for the same draw buffer the kernel is draw-for-draw and
+ * slot-for-slot identical to the scalar Python oracle (KRRStack).  The
+ * draw buffers themselves are produced in Python by
  * repro.core.updates.backward_draw_block (the shared inverse-CDF block
  * transform); when a lane's buffer runs dry mid-chain the kernel
  * checkpoints every lane it holds into its `state` and returns that

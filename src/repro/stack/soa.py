@@ -43,12 +43,13 @@ of a few percent of draws, so every draw must come from
 :func:`~repro.core.updates.backward_draw_block` (see
 docs/PERFORMANCE.md).  Supported strategies: ``"backward"`` (chain walk)
 and ``"linear"`` (vectorized survival sweep); ``"topdown"`` has no
-array-friendly formulation and stays scalar-only.
+array-friendly formulation and, like byte distances, stays on the scalar
+stack (:func:`soa_supports`).  Both stacks write one snapshot layout.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,6 +64,8 @@ from ._native import BackwardKernel, load_backward_kernel
 __all__ = [
     "SOA_STRATEGIES",
     "SoAKRRStack",
+    "int64_keys",
+    "soa_supports",
     "walk_backward_lanes",
 ]
 
@@ -74,6 +77,28 @@ _STATE_LEN = 6  # see _soa_kernel.c: [i, n_stack, bpos, cur_j, swaps, ref]
 
 #: Starting length of a stack's slot and id arrays (doubled on demand).
 _INITIAL_CAPACITY = 1024
+
+
+def soa_supports(strategy: str, track_sizes: bool) -> bool:
+    """True when a model of this configuration runs on :class:`SoAKRRStack`
+    (else on the scalar :class:`~repro.core.krr.KRRStack`)."""
+    return strategy in SOA_STRATEGIES and not track_sizes
+
+
+def int64_keys(keys: Union[np.ndarray, Sequence[int]]) -> np.ndarray:
+    """Keys as a contiguous ``int64`` column, reduced mod 2^64 exactly as
+    scalar ``splitmix64`` wraps them (``uint64`` columns reinterpreted)."""
+    if isinstance(keys, np.ndarray):
+        arr = keys.view(np.int64) if keys.dtype == np.uint64 else keys
+        return np.ascontiguousarray(arr, dtype=np.int64)
+    try:
+        return np.asarray(keys, dtype=np.int64)
+    except OverflowError:
+        return np.fromiter(
+            (key & 0xFFFFFFFFFFFFFFFF for key in keys),
+            dtype=np.uint64,
+            count=len(keys),
+        ).view(np.int64)
 
 
 class SoAKRRStack:
@@ -135,6 +160,7 @@ class SoAKRRStack:
         self._buf = np.empty(DRAW_BLOCK, dtype=np.float64)  # (1-U)^(1/K)
         self._buf_list: List[float] = []                    # python mirror
         self._bpos = DRAW_BLOCK
+        self._refills = -1  # counted as BackwardUpdate counts them
         self._ubuf = np.empty(0, dtype=np.float64)  # linear: raw uniforms
         self._ubpos = 0
         self._table = survival_table(self.k) if strategy == "linear" else None
@@ -175,24 +201,22 @@ class SoAKRRStack:
         slot = int(self._pos[kid])
         return -1 if slot < 0 else slot + 1
 
-    def _lookup_id(self, key: int) -> Optional[int]:
+    def _check_own_ids(self) -> None:
+        """Refuse key lookups on a stack fed externally interned ids."""
         if self._external_dense:
             raise RuntimeError(
                 "this stack consumes externally-interned dense ids "
                 "(access_many_interned); the caller owns the key<->id map"
             )
-        return self._ids.get(key)
 
-    def _key_of_id(self, kid: int) -> int:
-        if self._external_dense:
-            raise RuntimeError(
-                "this stack consumes externally-interned dense ids; "
-                "the caller owns the key<->id map"
-            )
-        return self._id_keys[kid]
+    def _lookup_id(self, key: int) -> Optional[int]:
+        self._check_own_ids()
+        return self._ids.get(int(int64_keys([key])[0]))
 
     def keys_in_stack_order(self) -> List[int]:
-        return [self._key_of_id(kid) for kid in self._stack[: self._n].tolist()]
+        self._check_own_ids()
+        id_keys = self._id_keys
+        return [id_keys[kid] for kid in self._stack[: self._n].tolist()]
 
     def sizes_in_stack_order(self) -> List[int]:
         return self._sizes[self._stack[: self._n]].tolist()
@@ -249,9 +273,7 @@ class SoAKRRStack:
     # ------------------------------------------------------------------
     def access(self, key: int, size: int = 1) -> tuple[int, float]:
         """Single-request :meth:`access_many` (API parity with KRRStack)."""
-        distances, _ = self.access_many(
-            np.asarray([key], dtype=np.int64), [size]
-        )
+        distances, _ = self.access_many([key], [size])
         return int(distances[0]), -1.0
 
     def access_many(
@@ -264,9 +286,9 @@ class SoAKRRStack:
         ``distances`` is an ``int64`` array of pre-update 1-based stack
         positions (``-1`` for cold accesses) — elementwise identical to
         what :meth:`KRRStack.access_many` returns for the same seed.
+        Keys are reduced mod 2^64 (:func:`int64_keys`).
         """
-        keys_arr = np.ascontiguousarray(np.asarray(keys, dtype=np.int64))
-        kids = self._intern_keys(keys_arr)
+        kids = self._intern_keys(int64_keys(keys))
         return self._access_ids(kids, sizes), None
 
     def access_many_interned(
@@ -317,6 +339,82 @@ class SoAKRRStack:
         return distances
 
     # ------------------------------------------------------------------
+    # snapshots
+    # ------------------------------------------------------------------
+    def state_dict(self) -> Dict[str, Any]:
+        """JSON-safe snapshot in :meth:`KRRStack.state_dict`'s layout.
+
+        Keys and sizes in stack order; the draw buffer as the scalar
+        strategy writes it, a spent one as ``[]``.  A stack fed
+        externally interned ids has no keys to write and refuses.
+        """
+        keys = self.keys_in_stack_order()
+        if self.strategy_name == "linear":
+            buf, pos = self._ubuf.tolist(), self._ubpos
+        else:
+            buf = self._buf_list if self._kernel is None else self._buf.tolist()
+            pos = self._bpos
+        if pos >= len(buf):  # spent, or never filled
+            buf, pos = [], DRAW_BLOCK
+        draws: Dict[str, Any] = {"buf": list(buf), "pos": pos}
+        if self.strategy_name == "linear":
+            draws = {"kind": "linear", "uniform": draws}
+        else:
+            draws.update(kind="backward", refills=self._refills)
+        return {
+            "k": self.k,
+            "stack": keys,
+            "sizes": [list(pair) for pair in zip(keys, self.sizes_in_stack_order())],
+            "strategy": draws,
+            "size_array": None,
+            "total_swaps": self.total_swaps,
+            "updates": self.updates,
+        }
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Restore a :meth:`state_dict`, or a :class:`KRRStack` one.
+
+        Keys are reduced mod 2^64 (a scalar stack's snapshot may hold
+        raw ints >= 2^63) and interned in stack order.
+        """
+        if float(state["k"]) != self.k:
+            raise ValueError(
+                f"stack state is for K={state['k']!r}, this stack has K={self.k}"
+            )
+        draws = state["strategy"] or {}
+        if draws.get("kind") != self.strategy_name:
+            raise ValueError(f"stack state is for strategy {draws.get('kind')!r}")
+        uniform = draws.get("uniform", draws)  # linear nests its buffer
+        buf = [float(v) for v in uniform["buf"]]
+        pos = int(uniform["pos"])
+        if len(buf) != DRAW_BLOCK and (buf or pos < DRAW_BLOCK):
+            raise ValueError(f"draw buffer of {len(buf)} at pos {pos}")
+        id_keys = int64_keys(state["stack"]).tolist()
+        n = len(id_keys)
+        ids = {key: kid for kid, key in enumerate(id_keys)}
+        if len(ids) != n:
+            raise ValueError("stack state holds a key twice")
+        pairs = state["sizes"]
+        size_ids = [ids[key] for key in int64_keys([k for k, _ in pairs]).tolist()]
+        capacity = max(_INITIAL_CAPACITY, n)
+        self._stack = np.zeros(capacity, dtype=np.int64)
+        self._pos = np.full(capacity, -1, dtype=np.int64)
+        self._sizes = np.ones(capacity, dtype=np.int64)
+        self._stack[:n] = self._pos[:n] = np.arange(n, dtype=np.int64)
+        self._sizes[size_ids] = [int(size) for _, size in pairs]
+        self._n, self._ids, self._id_keys = n, ids, id_keys
+        self._external_dense = False
+        if self.strategy_name == "linear":
+            self._ubuf, self._ubpos = np.asarray(buf, dtype=np.float64), pos
+        else:
+            if buf:
+                self._buf[:] = buf  # in place: the array outlives refills
+            self._buf_list, self._bpos = buf, pos
+            self._refills = int(draws["refills"])
+        self.total_swaps = int(state["total_swaps"])
+        self.updates = int(state["updates"])
+
+    # ------------------------------------------------------------------
     def _walk_backward_python(self, kids: np.ndarray) -> np.ndarray:
         """Pure-Python mirror of the native kernel (same draws, same state)."""
         n_res = self._n
@@ -325,6 +423,7 @@ class SoAKRRStack:
         buf = self._buf_list
         bpos = self._bpos
         block = len(buf)
+        refills = self._refills
         swaps = 0
         distances: List[int] = []
         record = distances.append
@@ -351,6 +450,7 @@ class SoAKRRStack:
                     ).tolist()
                     bpos = 0
                     block = len(buf)
+                    refills += 1
                 v = buf[bpos] * j
                 bpos += 1
                 t = int(v)
@@ -364,6 +464,7 @@ class SoAKRRStack:
             pos_l[ref] = 0
         self._buf_list = buf
         self._bpos = bpos
+        self._refills = refills
         self._n = len(stack_l)
         self._stack[: self._n] = stack_l
         self._pos[:] = pos_l
@@ -555,6 +656,7 @@ def _walk_lanes(
         stack = stacks[order[lane]]
         buf = stack._buf
         backward_draw_block(stack._rng, stack._inv_k, buf.shape[0], out=buf)
+        stack._refills += 1
         states[lane, 2] = 0
         lane = run()
     distances: Dict[int, np.ndarray] = {}

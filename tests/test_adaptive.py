@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.adaptive import AdaptiveKLRUCache
+from repro.adaptive.dlru import RetuneEvent, choose_best_k
 from repro.simulator import KLRUCache, run_trace
 from repro.workloads import Trace, patterns
 from repro.workloads.zipf import ScrambledZipfGenerator
@@ -125,11 +126,11 @@ class TestColdCandidateRetuning:
             100, candidates=(2, 8), retune_interval=2_000,
             sampling_rate=1.0, rng=20,
         )
+        # keep candidate 8 permanently cold: its model is never fed
+        cache._models[8].access_many = lambda keys, sizes=None: None
         trace = _zipf_trace(n_requests=10_000, seed=21)
         for key in trace.keys:
             cache.access(int(key))
-            # keep candidate 8 permanently cold
-            cache._models[8].stats.requests_sampled = 0
         assert cache.events, "warm-subset retunes must still happen"
         for event in cache.events:
             assert event.skipped == (8,)
@@ -148,6 +149,38 @@ class TestColdCandidateRetuning:
         assert predicted == {}
         assert skipped == (2, 8)
         assert cache.k == 8
+
+    def test_batched_bank_feed_matches_per_request_loop(self):
+        """The bank is fed in batches; every decision must equal that of
+        the same loop feeding each model one request at a time."""
+        kwargs = dict(
+            capacity=150, retune_interval=1_500, window=4_500,
+            sampling_rate=0.2, rng=31,
+        )
+        trace = _zipf_trace(n_requests=12_000, seed=32)
+        cache = AdaptiveKLRUCache(**kwargs)
+        for key in trace.keys:
+            cache.access(int(key))
+
+        ref = AdaptiveKLRUCache(**kwargs)
+        for i, key in enumerate(trace.keys.tolist(), start=1):
+            for model in ref._models.values():
+                model.access(key)
+            ref._cache.access(key)
+            if i % ref.retune_interval == 0:
+                best, predicted, skipped = choose_best_k(
+                    ref._models, ref.capacity
+                )
+                if best is not None:
+                    ref.events.append(RetuneEvent(i, best, predicted, skipped))
+                    ref._cache.k = best
+            if i % ref.window == 0:
+                ref._build_models()
+
+        assert len(ref.events) == 12_000 // 1_500
+        assert len({e.chosen_k for e in ref.events}) > 1
+        assert cache.events == ref.events
+        assert cache.stats == ref._cache.stats
 
     def test_warm_retune_has_no_skips(self):
         cache = AdaptiveKLRUCache(

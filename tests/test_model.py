@@ -1,6 +1,8 @@
 """End-to-end tests for KRRModel — the paper's headline accuracy claims at
 test-friendly scale."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.mrc import mean_absolute_error
 from repro.simulator import byte_klru_mrc, klru_mrc
 from repro.workloads import Trace, msr, twitter
 from repro.workloads.zipf import ScrambledZipfGenerator
+
+from .conftest import scalar_model_reference
 
 
 def _zipf_trace(n_objects=800, n_requests=15_000, alpha=1.0, seed=0):
@@ -90,20 +94,17 @@ class TestStreamingVsBatch:
         assert a.state_dict() == b.state_dict()
 
     def test_access_many_soa_engine_matches_scalar(self):
-        # engine="auto" may route through the SoA stack; the curves and
-        # counters must match the scalar engine draw for draw.
+        # A backward model runs on the SoA stack; its curve and counters
+        # must match the scalar reference draw for draw.
         trace = _zipf_trace(150, 2500)
-        keys = [int(k) for k in trace.keys]
-        a = KRRModel(k=4, sampling_rate=0.5, seed=13)
-        for key in keys:
-            a.access(key)
-        b = KRRModel(k=4, sampling_rate=0.5, seed=13)
-        b.access_many(np.asarray(keys, dtype=np.int64), engine="auto")
-        np.testing.assert_array_equal(a.mrc().miss_ratios, b.mrc().miss_ratios)
-        assert (a.stats.requests_seen, a.stats.requests_sampled,
-                a.stats.cold_misses) == (
-            b.stats.requests_seen, b.stats.requests_sampled,
-            b.stats.cold_misses)
+        m = KRRModel(k=4, sampling_rate=0.5, seed=13)
+        m.access_many(trace.keys)
+        curve, counters = scalar_model_reference(
+            trace.keys, 4, rate=0.5, seed=13
+        )
+        np.testing.assert_array_equal(m.mrc().sizes, curve.sizes)
+        np.testing.assert_array_equal(m.mrc().miss_ratios, curve.miss_ratios)
+        assert astuple(m.stats) == counters
 
     def test_windowed_access_many_equals_access(self):
         from repro.core.windowed import WindowedKRRModel
@@ -123,9 +124,9 @@ class TestStreamingVsBatch:
 
     @pytest.mark.parametrize("feed", ["scalar", "soa", "windowed"])
     def test_access_many_rejects_sizes_not_parallel_to_keys(self, feed):
-        # Sizes not parallel to keys must raise before any counter, engine
-        # pin or stack update; the windowed model must not apply a first
-        # rotation segment either.
+        # Sizes not parallel to keys must raise before any counter or
+        # stack update, on either stack (topdown runs on the scalar one);
+        # the windowed model must not apply a first rotation segment.
         from repro.core.windowed import WindowedKRRModel
 
         for sizes in ([5], [5, 6], [5, 6, 7, 8, 9]):
@@ -136,13 +137,14 @@ class TestStreamingVsBatch:
                 assert w.requests_seen == 0 and w.rotations == 0
                 models = [w._current, w._warming]
             else:
-                m = KRRModel(k=2, seed=0)
+                strategy = "topdown" if feed == "scalar" else "backward"
+                m = KRRModel(k=2, strategy=strategy, seed=0)
                 with pytest.raises(ValueError):
-                    m.access_many([1, 2, 3, 4], sizes, engine=feed)
+                    m.access_many([1, 2, 3, 4], sizes)
                 models = [m]
             for m in models:
-                assert m.stats == ModelStats() and m.engine is None
-                assert len(m._stack) == 0 and m._soa is None
+                assert m.stats == ModelStats()
+                assert len(m._stack) == 0 and m._stack.updates == 0
 
     def test_sampling_reduces_sampled_count(self):
         trace = _zipf_trace(2000, 10_000)

@@ -12,15 +12,23 @@ through a real ``json.dumps``/``loads`` round-trip, and compares final
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro._util import ensure_rng
 from repro.baselines.shards import Shards
+from repro.core.correction import corrected_k
+from repro.core.krr import KRRStack
 from repro.core.model import KRRModel
+from repro.core.updates import DRAW_BLOCK
 from repro.core.windowed import WindowedKRRModel
 from repro.sampling.spatial import SpatialSampler
+from repro.stack.soa import SoAKRRStack, int64_keys
 from repro.workloads.zipf import ScrambledZipfGenerator
 
 
@@ -165,12 +173,176 @@ def test_spatial_sampler_state_preserves_exact_threshold():
         assert restored.keep(key) == sampler.keep(key)
 
 
-def test_soa_engine_state_not_supported():
-    model = KRRModel(k=4, seed=1)
-    trace_keys = np.asarray(_keys(500), dtype=np.int64)
-    from repro.workloads.trace import Trace
+# ----------------------------------------------------------------------
+# one snapshot layout for both stacks
+# ----------------------------------------------------------------------
+_MASK = 2**64 - 1
 
-    model.process(Trace(trace_keys), engine="soa")
-    if model._soa is not None:
-        with pytest.raises(NotImplementedError):
-            model.state_dict()
+
+def _hashed(keys: list[int]) -> list[int]:
+    """Raw 64-bit keys; about half of them are >= 2^63."""
+    return [(0x9E3779B97F4A7C15 * (key + 1)) & _MASK for key in keys]
+
+
+@functools.lru_cache(maxsize=None)
+def _boundary_stream(strategy: str) -> tuple[list[int], int]:
+    """Keys, and a cut after which a stack has just served the last
+    draw of its first block.
+
+    Alternating two keys (backward) or cycling three (linear) keeps every
+    hit at position 2 or 3, where an update takes at most one draw, so
+    the draw cursor stops exactly at the end of the block.  Zipf traffic
+    follows the cut.
+    """
+    cycle = 2 if strategy == "backward" else 3
+    stack = KRRStack(4.0, strategy=strategy, rng=ensure_rng(5))
+    draws = stack._strategy if strategy == "backward" else stack._strategy._uniform
+    keys: list[int] = []
+    while not (draws._pos == DRAW_BLOCK and draws._buf):
+        keys += _hashed([len(keys) % cycle])
+        stack.access(keys[-1])
+    cut = len(keys)
+    keys += _hashed([i % cycle for i in range(cut, cut + 40)])
+    keys += _hashed(_keys(1_200, objects=150, seed=4))
+    return keys, cut
+
+
+def _generator(state=None):
+    """A generator on seed 5, or one that continues from ``state``."""
+    rng = ensure_rng(5)
+    if state is not None:
+        rng.bit_generator.state = state
+    return rng
+
+
+def _stack(kind: str, strategy: str, rng, use_native):
+    if kind == "scalar":
+        return KRRStack(4.0, strategy=strategy, rng=rng)
+    return SoAKRRStack(4.0, strategy=strategy, rng=rng, use_native=use_native)
+
+
+def _feed(stack, keys: list[int], chunk: int) -> list[int]:
+    out: list[int] = []
+    for lo in range(0, len(keys), chunk):
+        distances, _ = stack.access_many(keys[lo : lo + chunk])
+        out.extend(int(d) for d in distances)
+    return out
+
+
+@pytest.mark.parametrize("use_native", [None, False])
+@pytest.mark.parametrize("src, dst", [("scalar", "soa"), ("soa", "scalar")])
+@pytest.mark.parametrize("strategy", ["backward", "linear"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_stack_snapshot_moves_between_stacks(strategy, src, dst, use_native, data):
+    """A snapshot of either stack, taken mid-block or with the block just
+    spent, continues on the other stack exactly as a stack that never
+    stopped: same distances, counters and order (keys >= 2^63 wrap mod
+    2^64 on SoA, so orders are compared wrapped)."""
+    keys, spent = _boundary_stream(strategy)
+    cut = data.draw(
+        st.one_of(st.integers(0, len(keys)), st.just(spent)), label="cut"
+    )
+    chunk = data.draw(st.sampled_from([7, 613, len(keys)]), label="chunk")
+
+    full = _stack(dst, strategy, 5, use_native)
+    expected = _feed(full, keys, chunk)[cut:]
+
+    rng = _generator()
+    first = _stack(src, strategy, rng, use_native)
+    _feed(first, keys[:cut], chunk)
+    state = _roundtrip(first.state_dict())
+    resumed = _stack(dst, strategy, _generator(rng.bit_generator.state), use_native)
+    resumed.load_state(state)
+    tail = keys[cut:]
+    if src == "soa":  # its snapshot holds the keys reduced mod 2^64
+        tail = int64_keys(tail).tolist()
+
+    assert _feed(resumed, tail, chunk) == expected
+    assert (resumed.updates, resumed.total_swaps) == (
+        full.updates,
+        full.total_swaps,
+    )
+    assert int64_keys(resumed.keys_in_stack_order()).tolist() == int64_keys(
+        full.keys_in_stack_order()
+    ).tolist()
+
+
+def test_externally_interned_stack_refuses_state_dict():
+    stack = SoAKRRStack(4.0, rng=0)
+    stack.access_many_interned(np.arange(5, dtype=np.int64))
+    with pytest.raises(RuntimeError):
+        stack.state_dict()
+
+
+def _scalar_stack_state(k, strategy, rate, keys, seed):
+    """What a scalar :class:`KRRStack` model writes for ``keys``: the
+    layout of snapshots from releases whose workers ran that stack, raw
+    keys >= 2^63 included; returns it with the generator state."""
+    rng = ensure_rng(seed)
+    stack = KRRStack(corrected_k(k), strategy=strategy, rng=rng)
+    if rate is not None:
+        sampler = SpatialSampler(rate)
+        keys = [key for key in keys if sampler.keep(key)]
+    stack.access_many(keys)
+    return stack.state_dict(), rng.bit_generator.state
+
+
+def _generation_seeds(seed, count):
+    """The seeds a ``WindowedKRRModel`` on ``seed`` gives its first
+    ``count`` generations: successive draws of its own generator."""
+    rng = ensure_rng(seed)
+    return [int(rng.integers(0, 2**63)) for _ in range(count)]
+
+
+def _as_scalar_snapshot(model_state, stack_state, rng_state):
+    assert model_state["rng"] == rng_state  # same draws on either stack
+    return {**model_state, "engine": "scalar", "stack": stack_state}
+
+
+@pytest.mark.parametrize("rate", [None, 0.3])
+@pytest.mark.parametrize("strategy", ["backward", "linear"])
+def test_scalar_stack_model_snapshot_resumes(strategy, rate):
+    keys = _hashed(_keys(3_000, objects=200))
+    full = KRRModel(k=4, strategy=strategy, sampling_rate=rate, seed=8)
+    full.access_many(keys)
+
+    first = KRRModel(k=4, strategy=strategy, sampling_rate=rate, seed=8)
+    first.access_many(keys[:1_700])
+    snapshot = _as_scalar_snapshot(
+        first.state_dict(),
+        *_scalar_stack_state(4, strategy, rate, keys[:1_700], seed=8),
+    )
+    resumed = KRRModel.from_state(_roundtrip(snapshot))
+    resumed.access_many(keys[1_700:])
+
+    assert resumed.state_dict() == full.state_dict()
+    assert np.array_equal(resumed.mrc().miss_ratios, full.mrc().miss_ratios)
+    assert resumed.stats == full.stats
+
+
+@pytest.mark.parametrize("strategy", ["backward", "linear"])
+def test_scalar_stack_windowed_snapshot_resumes(strategy):
+    keys = _hashed(_keys(5_000, objects=150))
+    window, cut = 1_600, 2_000  # cut after rotation 2, 400 into the third
+    half = window // 2
+    full = WindowedKRRModel(k=3, window=window, strategy=strategy, seed=6)
+    full.access_many(keys)
+
+    first = WindowedKRRModel(k=3, window=window, strategy=strategy, seed=6)
+    first.access_many(keys[:cut])
+    assert first.rotations == cut // half == 2
+    # The current generation started a rotation before the warming one.
+    seeds = _generation_seeds(6, 4)
+    snapshot = first.state_dict()
+    for name, gen, start in (("current", 2, half), ("warming", 3, 2 * half)):
+        snapshot[name] = _as_scalar_snapshot(
+            snapshot[name],
+            *_scalar_stack_state(3, strategy, None, keys[start:cut], seeds[gen]),
+        )
+    resumed = WindowedKRRModel.from_state(_roundtrip(snapshot))
+    resumed.access_many(keys[cut:])
+
+    assert resumed.rotations == full.rotations >= 4
+    assert resumed.state_dict() == full.state_dict()
+    assert np.array_equal(resumed.mrc().miss_ratios, full.mrc().miss_ratios)

@@ -86,9 +86,8 @@ class TestWindowedModel:
 
         windowed = WindowedKRRModel(k=4, window=30_000, seed=3)
         lifetime = KRRModel(k=4, seed=3)
-        for key in trace.keys:
-            windowed.access(int(key))
-            lifetime.access(int(key))
+        windowed.access_many(trace.keys)
+        lifetime.process(trace)
 
         # Ground truth for the *current* phase only.
         recent = Trace(trace.keys[-30_000:])

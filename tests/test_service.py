@@ -447,6 +447,67 @@ class TestSupervisorEndToEnd:
         finally:
             sup.stop(grace=5.0)
 
+    @staticmethod
+    def _await_live(sup, tenant_id, requests_seen):
+        deadline = time.monotonic() + 15
+        while True:
+            live = sup.query(tenant_id)
+            if not live["stale"] and live["counters"]["requests_seen"] == requests_seen:
+                return live
+            assert time.monotonic() < deadline, live
+            time.sleep(0.05)
+
+    def test_unappliable_batch_is_refused_before_the_wal(self, tmp_path):
+        # Once fsynced, a batch no worker can apply crashes every worker
+        # that replays it, until the tenant fails for good.
+        sup = Supervisor(
+            TenantRegistry(tmp_path), snapshot_interval=60.0, restart_backoff=0.1
+        )
+        sup.start()
+        try:
+            sup.add_tenant(
+                TenantConfig(tenant_id="t", k=4, window=2_000, track_sizes=True)
+            )
+            self._await_live(sup, "t", 0)
+            for keys, sizes in (
+                ([1, 2, 3], [10, -5, 7]),
+                ([1, 2**64], None),
+                ([-(2**63) - 1], None),
+                ([1, 2], [10]),
+            ):
+                with pytest.raises(ValueError):
+                    sup.ingest("t", keys, sizes)
+            assert sup._tenant("t").wal.last_seq == 0
+            sup.ingest("t", [1, 2, 3], [10, 5, 7])
+            self._await_live(sup, "t", 3)
+            health = sup.health()["tenants"]["t"]
+            assert health["state"] == "running" and health["restarts"] == 0
+        finally:
+            sup.stop(grace=5.0)
+
+    def test_large_batch_with_keys_above_2_63_is_applied_live(self, tmp_path):
+        # A batch at the shared-memory threshold holding a key >= 2^63
+        # must reach the live worker through its int64 column, not only
+        # the WAL.
+        config = TenantConfig(tenant_id="t", k=4, window=2_000, seed=3)
+        sup = Supervisor(
+            TenantRegistry(tmp_path), snapshot_interval=60.0, shm_threshold=8
+        )
+        sup.start()
+        try:
+            sup.add_tenant(config)
+            self._await_live(sup, "t", 0)
+            keys = [i % 5 for i in range(13)] + [2**63 + 5]
+            assert sup.ingest("t", keys) == 1
+            live = self._await_live(sup, "t", 14)
+        finally:
+            sup.stop(grace=5.0)
+        oracle = config.build_model()
+        oracle.access_many(keys)
+        assert live["mrc"]["miss_ratios"] == [
+            float(m) for m in oracle.mrc().miss_ratios
+        ]
+
     def test_query_without_any_snapshot_still_answers(self, tmp_path):
         registry = TenantRegistry(tmp_path)
         sup = Supervisor(registry, restart_backoff=30.0, snapshot_interval=60.0)

@@ -3,10 +3,12 @@
 The contract under test: for any (k, strategy, seed, request stream,
 chunking), :class:`repro.stack.soa.SoAKRRStack` — native kernel or
 pure-Python fallback — consumes the generator stream and updates the
-stack exactly like the scalar :class:`repro.core.krr.KRRStack`, and
-``KRRModel.process(engine=...)`` therefore yields engine-invariant
-results.
+stack exactly like the scalar :class:`repro.core.krr.KRRStack`, and a
+``KRRModel`` on its SoA stack therefore matches a scalar reference built
+from the parts.
 """
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,9 +22,16 @@ from repro.core.model import KRRModel
 from repro.kernels.prep import factorize_keys
 from repro.sampling.spatial import SpatialSampler
 from repro.stack._native import native_kernel_active
-from repro.stack.soa import SOA_STRATEGIES, SoAKRRStack, walk_backward_lanes
+from repro.stack.soa import (
+    SOA_STRATEGIES,
+    SoAKRRStack,
+    soa_supports,
+    walk_backward_lanes,
+)
 from repro.workloads.trace import Trace
 from repro.workloads.zipf import zipf_trace_keys
+
+from .conftest import scalar_model_reference
 
 
 def scalar_reference(keys, k, strategy, seed):
@@ -151,6 +160,14 @@ class TestStackApi:
         assert s.position_of(7) == 1
         assert s.position_of(8) == -1
 
+    def test_keys_wrap_mod_2_64_on_every_path(self):
+        s = SoAKRRStack(4, rng=0)
+        s.access(2**63 + 5)
+        s.access_many([3, 2**64 - 1])
+        assert s.keys_in_stack_order()[-1] == 2**63 + 5 - 2**64
+        for key in (2**63 + 5, 2**63 + 5 - 2**64, 2**64 - 1, -1):
+            assert s.position_of(key) > 0 and key in s
+
     def test_sizes_follow_last_write(self):
         s = SoAKRRStack(2, rng=0)
         s.access_many([1, 2, 1], sizes=[10, 20, 30])
@@ -210,63 +227,46 @@ class TestModelEngine:
     @pytest.mark.parametrize("strategy", SOA_STRATEGIES)
     @pytest.mark.parametrize("rate", [None, 0.5, 1.0])
     def test_process_engine_invariant(self, strategy, rate):
+        """``process`` on the model's SoA stack matches the scalar
+        reference built from the parts, on curves and all counters."""
         trace = self.make_trace()
-        curves = {}
-        stats = {}
-        for engine in ("scalar", "soa"):
-            m = KRRModel(k=3, strategy=strategy, sampling_rate=rate, seed=7)
-            m.process(trace, engine=engine)
-            curve = m.mrc()
-            curves[engine] = (curve.sizes, curve.miss_ratios)
-            stats[engine] = (
-                m.stats.requests_sampled,
-                m.stats.cold_misses,
-                m.stats.stack_updates,
-                m.stats.swap_positions,
-            )
-        assert np.array_equal(curves["scalar"][0], curves["soa"][0])
-        assert np.array_equal(curves["scalar"][1], curves["soa"][1])
-        assert stats["scalar"] == stats["soa"]
+        m = KRRModel(k=3, strategy=strategy, sampling_rate=rate, seed=7)
+        m.process(trace)
+        curve, counters = scalar_model_reference(
+            trace.keys, 3, strategy, rate, seed=7
+        )
+        assert np.array_equal(m.mrc().sizes, curve.sizes)
+        assert np.array_equal(m.mrc().miss_ratios, curve.miss_ratios)
+        assert astuple(m.stats) == counters
+
+    def assert_stack(self, strategy, track_sizes, kind, access_first=False):
+        assert soa_supports(strategy, track_sizes) == (kind is SoAKRRStack)
+        m = KRRModel(k=3, strategy=strategy, track_sizes=track_sizes, seed=0)
+        assert type(m._stack) is kind
+        if access_first:
+            m.access(1)
+        m.process(self.make_trace())
+        assert type(m._stack) is kind
 
     def test_auto_resolves_soa_when_capable(self):
-        m = KRRModel(k=3, seed=0)
-        m.process(self.make_trace())
-        assert m.engine == "soa"
+        """Backward and linear walks without sizes build the SoA stack."""
+        for strategy in SOA_STRATEGIES:
+            self.assert_stack(strategy, False, SoAKRRStack)
 
     def test_auto_falls_back_for_topdown_and_sizes(self):
-        m = KRRModel(k=3, strategy="topdown", seed=0)
-        m.process(self.make_trace())
-        assert m.engine == "scalar"
-        m = KRRModel(k=3, track_sizes=True, seed=0)
-        m.process(self.make_trace())
-        assert m.engine == "scalar"
+        """Top-down walks and size tracking build the scalar stack."""
+        self.assert_stack("topdown", False, KRRStack)
+        for strategy in SOA_STRATEGIES:
+            self.assert_stack(strategy, True, KRRStack)
 
-    def test_explicit_soa_rejects_unsupported(self):
-        m = KRRModel(k=3, strategy="topdown", seed=0)
-        with pytest.raises(ValueError):
-            m.process(self.make_trace(), engine="soa")
-        m = KRRModel(k=3, track_sizes=True, seed=0)
-        with pytest.raises(ValueError):
-            m.process(self.make_trace(), engine="soa")
-        with pytest.raises(ValueError):
-            KRRModel(k=3, seed=0).process(self.make_trace(), engine="vector")
-
-    def test_engine_is_sticky(self):
-        trace = self.make_trace()
-        m = KRRModel(k=3, seed=0)
-        m.process(trace, engine="soa")
-        with pytest.raises(RuntimeError):
-            m.process(trace, engine="scalar")
-        with pytest.raises(RuntimeError):
-            m.access(1)
-        # auto keeps following the pinned engine instead of raising.
-        m.process(trace, engine="auto")
-        assert m.engine == "soa"
-
-    def test_streaming_access_pins_scalar(self):
-        trace = self.make_trace()
-        m = KRRModel(k=3, seed=0)
-        m.access(1)
-        assert m.engine == "scalar"
-        m.process(trace)  # auto -> stays scalar
-        assert m.engine == "scalar"
+    def test_configuration_picks_one_stack(self):
+        """A per-request access before ``process`` does not move the model
+        to another stack than its configuration picks."""
+        for strategy, track_sizes, kind in [
+            ("backward", False, SoAKRRStack),
+            ("linear", False, SoAKRRStack),
+            ("topdown", False, KRRStack),
+            ("backward", True, KRRStack),
+            ("linear", True, KRRStack),
+        ]:
+            self.assert_stack(strategy, track_sizes, kind, access_first=True)

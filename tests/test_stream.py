@@ -4,7 +4,7 @@ Hypothesis drives the contracts the streaming layer lives or dies by:
 
 * the chunk-dir (``save_chunked``) format round-trips any trace for any
   chunk size, and its reader detects shard corruption;
-* every streamed hot path — ``KRRModel`` (scalar and SoA engines),
+* every streamed hot path — ``KRRModel`` (on the scalar and the SoA stack),
   the one-pass ``MultiKRR`` grid, SHARDS, the simulators — produces
   *bit-identical* results to the in-memory run, for any chunking.
 """
@@ -407,7 +407,9 @@ def test_open_trace_stream_dispatch(tmp_path):
 # ----------------------------------------------------------------------
 # streamed == in-memory, bit for bit
 # ----------------------------------------------------------------------
-engine_st = st.sampled_from(["scalar", "soa"])
+# backward/linear without sizes run on the SoA stack; topdown and
+# track_sizes keep the scalar stack covered.
+strategy_st = st.sampled_from(["backward", "linear", "topdown"])
 rate_st = st.sampled_from([None, 0.5])
 
 
@@ -415,21 +417,21 @@ rate_st = st.sampled_from([None, 0.5])
 @given(
     trace=sized_trace_st,
     chunk_size=st.integers(1, 97),
-    engine=engine_st,
+    strategy=strategy_st,
     rate=rate_st,
     k=st.integers(1, 6),
     track_sizes=st.booleans(),
 )
 def test_streamed_krr_model_bit_identical(
-    trace, chunk_size, engine, rate, k, track_sizes
+    trace, chunk_size, strategy, rate, k, track_sizes
 ):
-    if track_sizes:
-        engine = "scalar"  # byte distances live on the scalar stack only
-    kwargs = dict(k=k, sampling_rate=rate, track_sizes=track_sizes, seed=5)
+    kwargs = dict(
+        k=k, strategy=strategy, sampling_rate=rate, track_sizes=track_sizes, seed=5
+    )
     mem = KRRModel(**kwargs)
-    mem.process(trace, engine=engine)
+    mem.process(trace)
     streamed = KRRModel(**kwargs)
-    streamed.process(stream=iter_chunks(trace, chunk_size), engine=engine)
+    streamed.process(stream=iter_chunks(trace, chunk_size))
     assert mem.stats == streamed.stats
     if mem.stats.requests_sampled:  # else both histograms are empty
         assert np.array_equal(mem.mrc().miss_ratios, streamed.mrc().miss_ratios)
