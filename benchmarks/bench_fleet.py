@@ -127,7 +127,12 @@ def bench_streamed_soa(trace, chunk_dir, seed=1):
 
 
 def bench_csv_decode(workdir, n_requests, n_objects, chunk_size, repeats=3):
-    """``iter_csv`` against the row-parser-only reference, same file."""
+    """``iter_csv`` against the row-parser-only reference, same file.
+
+    ``native_decoder`` records whether clean blocks went through the
+    kernel's ``csv_decode_block``; without it both passes parse rows.
+    """
+    from repro.stack._native import load_csv_decoder
     from repro.workloads.io import save_csv
     from repro.workloads.stream import _csv_chunks, iter_csv
     from repro.workloads.trace import Trace
@@ -183,6 +188,7 @@ def bench_csv_decode(workdir, n_requests, n_objects, chunk_size, repeats=3):
         "speedup": round(min(row_s) / min(block_s), 2),
         "chunks": n_chunks,
         "chunks_identical": identical,
+        "native_decoder": load_csv_decoder() is not None,
     }
 
 
@@ -480,7 +486,8 @@ def main(argv=None):
         f"  blocks      {decode['block_s']:8.2f}s  "
         f"{decode['block_requests_per_s']:>10,} req/s  "
         f"({decode['speedup']:.2f}x)",
-        f"  identical: {decode['chunks_identical']}",
+        f"  identical: {decode['chunks_identical']}, "
+        f"native decoder: {decode['native_decoder']}",
         "",
         f"wrote {out}",
     ]

@@ -194,6 +194,7 @@ class KRRModel:
             return
         self.stats.requests_sampled += 1
         dist, byte_dist = self._stack.access(key, size)
+        self._sync_stats()
         if dist < 0:
             self.stats.cold_misses += 1
             self._obj_hist.record_cold()
@@ -264,6 +265,7 @@ class KRRModel:
             if self._byte_hist is not None:
                 self._byte_hist.record_many(byte_distances)
             self.stats.cold_misses += distances.count(-1)
+        self._sync_stats()
 
     def process(
         self,
@@ -305,7 +307,6 @@ class KRRModel:
         if self._auto_rate and self._sampler is None:
             self._set_sampler(choose_rate(max(1, trace.unique_objects())))
         self.access_many(trace.keys, trace.sizes)
-        self._sync_stats()
         return self.result()
 
     def _process_stream(self, stream: "Iterable[Trace]") -> "KRRResult":
@@ -317,17 +318,17 @@ class KRRModel:
             )
         for chunk in stream:
             self.access_many(chunk.keys, chunk.sizes)
-        self._sync_stats()
         return self.result()
 
     def _sync_stats(self) -> None:
+        """Copy the stack's counters into ``stats`` (every feed and restore
+        calls this, so ``stats`` and snapshots never lag the stack)."""
         self.stats.stack_updates = self._stack.updates
         self.stats.swap_positions = self._stack.total_swaps
 
     # ------------------------------------------------------------------
     def mrc(self, max_size: int | None = None, label: str | None = None) -> MissRatioCurve:
         """Object-granularity MRC snapshot."""
-        self._sync_stats()
         return from_distance_histogram(
             self._obj_hist,
             max_size=max_size,
@@ -338,7 +339,6 @@ class KRRModel:
         """Byte-granularity MRC snapshot (requires ``track_sizes=True``)."""
         if self._byte_hist is None:
             raise RuntimeError("byte_mrc requires track_sizes=True")
-        self._sync_stats()
         return from_byte_histogram(
             self._byte_hist, label=label or f"var-KRR(K={self.k})"
         )
@@ -417,9 +417,8 @@ class KRRModel:
             requests_seen=int(s["requests_seen"]),
             requests_sampled=int(s["requests_sampled"]),
             cold_misses=int(s["cold_misses"]),
-            stack_updates=int(s["stack_updates"]),
-            swap_positions=int(s["swap_positions"]),
         )
+        self._sync_stats()  # the stack's counters, not a stale copy
 
     @classmethod
     def from_state(cls, state: dict) -> "KRRModel":

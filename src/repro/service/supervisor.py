@@ -95,6 +95,10 @@ _RESTARTING = "restarting"
 _FAILED = "failed"
 _STOPPED = "stopped"
 
+#: How often a query waiting for its answer checks that the worker it
+#: asked is still alive.
+_QUERY_POLL_S = 0.05
+
 
 def _curve_payload(
     model: WindowedKRRModel,
@@ -691,26 +695,32 @@ class Supervisor:
                 t.inbox.put_nowait(("query", req_id, max_size))
             except queue_mod.Full:
                 return self._stale_payload(t)
-            payload = self._await_response(t, req_id)
+            payload = self._await_response(t, req_id, proc)
             if payload is not None:
                 return payload
-            # Watchdog tripped: the worker accepted work but never
-            # answered.  Kill it (only the process we actually asked —
-            # not a fresh replacement); supervision restarts with backoff.
+            # The worker died, or the watchdog tripped: it accepted work
+            # but never answered.  Kill a hung one (only the process we
+            # actually asked — not a fresh replacement); supervision
+            # restarts with backoff.
             if proc is not None and proc.is_alive():
                 proc.terminate()
         return self._stale_payload(t)
 
     def _await_response(
-        self, t: _Tenant, req_id: int
+        self,
+        t: _Tenant,
+        req_id: int,
+        proc: Optional[multiprocessing.process.BaseProcess],
     ) -> Optional[Dict[str, Any]]:
+        """The answer to query ``req_id``, or None once the watchdog runs
+        out or ``proc``, the worker asked, has died without answering."""
         deadline = time.monotonic() + self.watchdog_timeout
         with t.resp_cv:
             while req_id not in t.responses:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                if remaining <= 0 or proc is None or not proc.is_alive():
                     return None
-                t.resp_cv.wait(timeout=remaining)
+                t.resp_cv.wait(timeout=min(remaining, _QUERY_POLL_S))
             return t.responses.pop(req_id)
 
     def _stale_payload(self, t: _Tenant) -> Dict[str, Any]:

@@ -1,14 +1,20 @@
-"""On-demand native build of the SoA chain-walk kernel.
+"""On-demand native build of the SoA chain-walk kernel and CSV decoder.
 
 The backward-update swap chain is a data-dependent scalar recurrence —
 each step's slot is ``ceil(draw * j) - 1`` of the previous one — so NumPy
 cannot vectorize it and the CPython interpreter caps the streaming KRR
 path at a few hundred nanoseconds per chain step.  The kernel in
 ``_soa_kernel.c`` runs the identical arithmetic at C speed over the flat
-SoA arrays (10x+ end to end; see docs/PERFORMANCE.md).  Its one export,
+SoA arrays (10x+ end to end; see docs/PERFORMANCE.md).  Its walk export,
 ``krr_backward_lanes``, walks several stacks ("lanes") in one call and
 keeps two of their swap chains in flight, so a grid's cells overlap
 their chain latencies; a single stack is a one-lane call.
+
+Its other export, ``csv_decode_block``, decodes a block of clean CSV
+lines into trace columns in one forward pass, or refuses the block;
+:func:`repro.workloads.io._decode_block` calls it through
+:func:`load_csv_decoder`, and the row parser it falls back to is its
+reference.
 
 A ctypes call is cheap only when its arguments are plain ints: reading
 ``ndarray.ctypes.data`` builds a helper object per array (1-2 us each
@@ -21,13 +27,14 @@ are while the bound call is in use: the SoA stacks grow their arrays
 before the table is built and fill their draw buffers in place.
 
 This module compiles that one C file with the system compiler the first
-time it is needed and binds it through :mod:`ctypes`.  There is no build
-step, no packaging change and no new dependency: if no compiler is
-available, the compiler fails or hangs, or ``REPRO_NATIVE=0`` disables
-the attempt, callers fall back to the pure-Python SoA path, which
-consumes the same draws and produces bit-identical results — the kernel
-is a throughput lever, never a semantics change.  A failed build is
-remembered for the life of the process, so it is tried once.
+time it is needed and binds both exports through :mod:`ctypes`.  There
+is no build step, no packaging change and no new dependency: if no
+compiler is available, the compiler fails or hangs, or ``REPRO_NATIVE=0``
+disables the attempt, callers fall back to the pure-Python SoA path,
+which consumes the same draws and produces bit-identical results, and
+CSV blocks go through the row parser — the kernel is a throughput lever,
+never a semantics change.  A failed build is remembered for the life of
+the process, so it is tried once.
 
 The shared object is cached under a per-user directory keyed by the
 SHA-256 of the C source, so editing the kernel invalidates stale builds
@@ -46,13 +53,14 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "BackwardKernel",
     "load_backward_kernel",
+    "load_csv_decoder",
     "native_kernel_active",
 ]
 
@@ -61,6 +69,7 @@ _SOURCE = Path(__file__).with_name("_soa_kernel.c")
 
 #: Sentinel distinguishing "never tried" from "tried and unavailable".
 _UNSET = object()
+#: The loaded library's two bindings, None when unavailable, or _UNSET.
 _KERNEL: object = _UNSET
 
 
@@ -164,21 +173,60 @@ class BackwardKernel:
         )
 
 
-def load_backward_kernel() -> Optional[BackwardKernel]:
-    """The process-wide kernel instance, or None if unavailable.
+def _bind_csv_decoder(library: ctypes.CDLL) -> Callable[..., int]:
+    """The native ``csv_decode_block`` (see ``_soa_kernel.c``).
+
+    Called as ``(block, len(block), n_fields, ki, si, oi, keys, sizes,
+    ops, cap)``: ``block`` is a ``bytes`` object (or the address of that
+    many bytes), ``si``/``oi`` are -1 for an absent column, and
+    ``keys``/``sizes``/``ops`` are the addresses of
+    ``int64``/``int64``/``int8`` arrays of at least ``cap`` rows.  Returns
+    the row count, or -1 when the block is not clean.
+    """
+    decode = library.csv_decode_block
+    decode.restype = ctypes.c_int64
+    decode.argtypes = [
+        ctypes.c_void_p,  # data
+        ctypes.c_int64,   # len
+        ctypes.c_int64,   # n_fields
+        ctypes.c_int64,   # ki
+        ctypes.c_int64,   # si
+        ctypes.c_int64,   # oi
+        ctypes.c_void_p,  # keys
+        ctypes.c_void_p,  # sizes
+        ctypes.c_void_p,  # ops
+        ctypes.c_int64,   # cap
+    ]
+    return decode
+
+
+def _bindings() -> Optional[Tuple[BackwardKernel, Callable[..., int]]]:
+    """Both bindings of the process-wide library, or None if unavailable.
 
     Compilation is attempted once per process; failures (no compiler, a
     compiler that fails or times out, sandboxed tmpdir, ``REPRO_NATIVE=0``)
-    are cached as None so the SoA stack silently stays on its pure-Python
-    fallback.
+    are cached as None so callers silently stay on their pure-Python
+    fallbacks.
     """
     global _KERNEL
     if _KERNEL is _UNSET:
         _KERNEL = _load()
-    return _KERNEL if isinstance(_KERNEL, BackwardKernel) else None
+    return _KERNEL if isinstance(_KERNEL, tuple) else None
 
 
-def _load() -> Optional[BackwardKernel]:
+def load_backward_kernel() -> Optional[BackwardKernel]:
+    """The process-wide chain-walk kernel, or None if unavailable."""
+    bound = _bindings()
+    return None if bound is None else bound[0]
+
+
+def load_csv_decoder() -> Optional[Callable[..., int]]:
+    """The process-wide CSV block decoder, or None if unavailable."""
+    bound = _bindings()
+    return None if bound is None else bound[1]
+
+
+def _load() -> Optional[Tuple[BackwardKernel, Callable[..., int]]]:
     if os.environ.get("REPRO_NATIVE", "1") == "0":
         return None
     if not _SOURCE.exists():
@@ -187,7 +235,8 @@ def _load() -> Optional[BackwardKernel]:
     if lib_path is None:
         return None
     try:
-        return BackwardKernel(ctypes.CDLL(str(lib_path)))
+        library = ctypes.CDLL(str(lib_path))
+        return BackwardKernel(library), _bind_csv_decoder(library)
     except OSError:
         return None
 

@@ -1,9 +1,10 @@
-/* Native chain-walk kernel for the struct-of-arrays KRR stack.
+/* Native kernels: the struct-of-arrays KRR stack's chain walk and the
+ * CSV block decoder (csv_decode_block, at the end of this file).
  *
- * This is the streaming hot loop of repro.stack.soa: for each request of
- * a "lane" (one SoA stack and its chunk of dense key ids) it looks up the
- * referenced key's slot in the flat position array, records the
- * pre-update stack distance, then walks the backward update's
+ * The chain walk is the streaming hot loop of repro.stack.soa: for each
+ * request of a "lane" (one SoA stack and its chunk of dense key ids) it
+ * looks up the referenced key's slot in the flat position array, records
+ * the pre-update stack distance, then walks the backward update's
  * inverse-CDF swap chain (Algorithm 2) over the flat stack array.  The
  * arithmetic computes EXACTLY the slot of the stack's pure-Python walk
  * (SoAKRRStack._walk_backward_python) — `v = buf[bpos] * j`, truncate,
@@ -48,8 +49,8 @@
  * lanes it shared the call with.
  *
  * Compiled on demand by repro.stack._native via the system C compiler;
- * everything is plain int64/double arrays so the only ABI surface is
- * this one function.
+ * everything is plain integer/double arrays so the only ABI surface is
+ * the two exported functions.
  *
  * desc layout (int64 x 8 per lane; addresses are stored as integers):
  *   [0] kids       dense key ids, one per request (int64 *)
@@ -257,4 +258,132 @@ int64_t krr_backward_lanes(
     }
     ctl[0] = ctl[1] = -1;
     return -1;
+}
+
+/* CSV block decoder: the clean-block fast path of
+ * repro.workloads.io._decode_block.
+ *
+ * Decodes a block of whole CSV lines into the key, size and op columns
+ * in one forward pass, or refuses the whole block (returns -1) so that
+ * the caller parses it row by row with the reference parser
+ * (_CsvRowReader).  It accepts only lines that parser reads as plain
+ * values, so an accepted block decodes exactly as the rows would:
+ *   - every line has n_fields fields separated by ',';
+ *   - every line ends in "\n", or every line in "\r\n", and there is no
+ *     other '\r' in the block;
+ *   - key and size fields are 1-18 ASCII digits (below 10^18 < 2^63, so
+ *     no overflow), and sizes are >= 1;
+ *   - the op field is exactly get, set or delete (codes 0, 1 and 2);
+ *   - fields of other columns hold only bytes from "0-9getsdl" (the
+ *     clean bytes of the three columns) and may be empty.
+ * Leading zeros are digits like any other ("007" is 7, as Python's
+ * int() reads it).  si or oi = -1 marks an absent size or op column:
+ * every size is then 1 and every op 0.
+ *
+ * It never writes more than cap rows (a block with more is refused) and
+ * never reads at or past data + len.  Returns the row count.
+ */
+
+/* Bytes a field of an ignored column may hold. */
+static inline int other_byte(uint8_t c)
+{
+    return (uint8_t)(c - '0') < 10 || c == 'g' || c == 'e' || c == 't'
+        || c == 's' || c == 'd' || c == 'l';
+}
+
+/* A 1-18 digit unsigned decimal at *pp (advanced past it), else -1. */
+static inline int64_t decimal_field(const uint8_t **pp, const uint8_t *end)
+{
+    const uint8_t *p = *pp;
+    const uint8_t *stop = end - p > 18 ? p + 18 : end;
+    uint64_t v = 0;
+    unsigned d;
+    while (p < stop && (d = (unsigned)*p - '0') < 10) {
+        v = v * 10 + d;
+        p++;
+    }
+    if (p == *pp || (p < end && (unsigned)*p - '0' < 10))
+        return -1;        /* empty, or a 19th digit */
+    *pp = p;
+    return (int64_t)v;
+}
+
+/* The op code of get/set/delete at *pp (advanced past it), else -1.
+ * A longer word fails the separator check that follows. */
+static inline int op_field(const uint8_t **pp, const uint8_t *end)
+{
+    const uint8_t *p = *pp;
+    int64_t left = end - p;
+    if (left >= 3 && (p[0] == 'g' || p[0] == 's') && p[1] == 'e' && p[2] == 't') {
+        *pp = p + 3;
+        return p[0] == 's';
+    }
+    if (left >= 6 && p[0] == 'd' && p[1] == 'e' && p[2] == 'l' && p[3] == 'e'
+        && p[4] == 't' && p[5] == 'e') {
+        *pp = p + 6;
+        return 2;
+    }
+    return -1;
+}
+
+int64_t csv_decode_block(
+    const uint8_t *data,      /* the block's bytes */
+    int64_t len,              /* number of bytes */
+    int64_t n_fields,         /* fields per line (the header's) */
+    int64_t ki,               /* key column */
+    int64_t si,               /* size column, -1 = absent */
+    int64_t oi,               /* op column, -1 = absent */
+    int64_t *keys,            /* out: cap keys */
+    int64_t *sizes,           /* out: cap sizes */
+    int8_t *ops,              /* out: cap op codes */
+    int64_t cap)              /* rows the outputs hold */
+{
+    const uint8_t *p = data, *end;
+    int64_t rows = 0;
+    int crlf = -1;            /* line ends: -1 none seen, 0 "\n", 1 "\r\n" */
+    if (n_fields < 1 || ki < 0 || ki >= n_fields || len < 0)
+        return -1;
+    end = data + len;
+    while (p < end) {
+        int64_t key = 0, size = 1, f;
+        int op = 0;
+        if (rows >= cap)
+            return -1;
+        for (f = 0; f < n_fields; f++) {
+            if (f == ki) {
+                if ((key = decimal_field(&p, end)) < 0)
+                    return -1;
+            } else if (f == si) {
+                if ((size = decimal_field(&p, end)) < 1)
+                    return -1;
+            } else if (f == oi) {
+                if ((op = op_field(&p, end)) < 0)
+                    return -1;
+            } else {
+                while (p < end && other_byte(*p))
+                    p++;
+            }
+            if (p == end)
+                return -1;
+            if (f + 1 < n_fields && *p++ != ',')
+                return -1;
+        }
+        if (*p == '\r') {
+            if (crlf == 0 || ++p == end || *p != '\n')
+                return -1;
+            crlf = 1;
+        } else if (*p == '\n') {
+            if (crlf == 1)
+                return -1;
+            crlf = 0;
+        } else {
+            return -1;
+        }
+        p++;
+        keys[rows] = key;
+        sizes[rows] = size;
+        ops[rows] = (int8_t)op;
+        rows++;
+    }
+    return rows;
 }

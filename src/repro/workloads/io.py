@@ -13,10 +13,12 @@ report the count on ``trace.skipped_rows`` — so one corrupt line does not
 abort a multi-hour sweep over an otherwise good trace.
 
 CSV bodies are decoded a block of whole lines at a time: a block the
-vectorized NumPy decoder (:func:`_decode_block`) can prove clean becomes
-three columns at once, and any other block goes row by row through
+native decoder (:func:`_decode_block`, the ``csv_decode_block`` export of
+the :mod:`repro.stack._native` kernel) finds clean becomes three columns
+in one pass, and any other block goes row by row through
 :class:`_CsvRowReader`, the reference parser, so errors and skip counts
-do not depend on which path a row took.
+do not depend on which path a row took.  Without the kernel (no C
+compiler, or ``REPRO_NATIVE=0``) every block takes the row parser.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import io
 import locale
 from collections import deque
 from pathlib import Path
-from typing import IO, Deque, Iterator, Optional, Tuple, Union
+from typing import IO, Callable, Deque, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,24 +47,8 @@ _Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: 64-256 KiB decode at the same speed; larger blocks only add memory.
 _BLOCK_BYTES = 1 << 17
 
-#: Longest number the block decoder parses (10**18 - 1 < 2**63).
-_MAX_DIGITS = 18
-
 #: Rows formatted per write by :func:`save_csv`.
 _SAVE_ROWS = 1 << 16
-
-_NL, _CR, _COMMA, _ZERO = ord("\n"), ord("\r"), ord(","), ord("0")
-
-#: Bytes a block may contain and still take the vectorized path.
-_CLEAN_BYTES = np.zeros(256, dtype=bool)
-_CLEAN_BYTES[np.frombuffer(b"0123456789,\r\ngetsdl", dtype=np.uint8)] = True
-
-
-#: Each op name as a big-endian integer of 6 bytes (zero padded).
-_OP_WORDS = [
-    (int.from_bytes(op_name(code).encode().ljust(6, b"\0"), "big"), code)
-    for code in range(3)
-]
 
 
 def open_text(path: PathLike, mode: str = "rt") -> IO[str]:
@@ -107,107 +93,63 @@ def save_csv(trace: Trace, path: PathLike) -> None:
             )))
 
 
-def _parse_digits(
-    data: np.ndarray, ends: np.ndarray, lengths: np.ndarray
-) -> Optional[np.ndarray]:
-    """Unsigned decimal fields ending (exclusive) at ``ends`` as int64.
+def _csv_decoder() -> Optional[Callable[..., int]]:
+    """The native block decoder, or ``None`` without a kernel.
 
-    Digits are gathered right-aligned into a ``(width, n)`` block and
-    folded with Horner steps.  ``None`` unless every field has 1 to
-    ``_MAX_DIGITS`` ASCII digits and nothing else.
+    Imported at first decode rather than with this module, since
+    :mod:`repro.stack` imports :mod:`repro.workloads`.
     """
-    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
-        return None
-    width = int(lengths.max())
-    offsets = np.arange(-width, 0)[:, None]
-    digits = data.take(ends[None, :] + offsets, mode="clip") - np.uint8(_ZERO)
-    digits *= offsets >= -lengths[None, :]  # zero left of the field
-    if digits.max() > 9:
-        return None
-    value = digits[0].astype(np.int64)
-    for row in digits[1:]:
-        value *= 10
-        value += row
-    return value
+    from ..stack._native import load_csv_decoder
 
-
-def _parse_ops(
-    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> Optional[np.ndarray]:
-    """Op-name fields as op codes; ``None`` unless every one is exactly
-    ``get``, ``set`` or ``delete``."""
-    if lengths.max() > 6:
-        return None
-    offsets = np.arange(6)[:, None]
-    chars = data.take(starts[None, :] + offsets, mode="clip")
-    chars *= offsets < lengths[None, :]  # zero right of the field
-    packed = np.zeros(starts.shape[0], dtype=np.uint64)
-    for row in chars:
-        packed <<= np.uint64(8)
-        packed |= row.astype(np.uint64)
-    ops = np.full(starts.shape[0], -1, dtype=np.int8)
-    for word, code in _OP_WORDS:
-        ops[packed == word] = code
-    return None if (ops < 0).any() else ops
+    return load_csv_decoder()
 
 
 def _decode_block(
-    block: bytes, n_fields: int, ki: int, si: Optional[int], oi: Optional[int]
+    block: bytes,
+    n_fields: int,
+    ki: int,
+    si: Optional[int],
+    oi: Optional[int],
+    scratch: Optional[List[np.ndarray]] = None,
 ) -> Optional[_Columns]:
-    """Decode a block of whole CSV lines with NumPy, or return ``None``.
+    """Decode a block of whole CSV lines natively, or return ``None``.
 
     The result is exactly what :class:`_CsvRowReader` would produce, so
-    the decoder only accepts what it can prove it reads the same way:
-    digits, ``,``, op letters and line ends (``\\r\\n`` on every line or
-    on none); ``n_fields`` fields on every line; 1-18 digit keys and
-    sizes; sizes >= 1; op fields naming one of the three ops.  Anything
-    else (quotes, spaces, signs, blank lines, long numbers, ...) makes
-    the caller parse the block row by row.
+    the decoder only accepts what it reads the same way: digits, ``,``,
+    op letters and line ends (``\\r\\n`` on every line or on none);
+    ``n_fields`` fields on every line; 1-18 digit keys and sizes; sizes
+    >= 1; op fields naming one of the three ops.  Anything else (quotes,
+    spaces, signs, blank lines, long numbers, ...) makes the caller parse
+    the block row by row, and so does every block when the kernel is
+    unavailable.
+
+    ``scratch`` holds the caller's three reusable columns (grown here to
+    the block's row bound); the result is an exact-size copy of them, so
+    a pending chunk never pins a whole scratch buffer.
     """
+    decode = _csv_decoder()
+    if decode is None:
+        return None
     if not block.endswith(b"\n"):
         block += b"\n"  # final line of the file
-    data = np.frombuffer(block, dtype=np.uint8)
-    # Every byte of a key, size or op field is checked by the parsers
-    # below, so only a block with other columns needs the byte-class scan.
-    bound = sum(i is not None for i in (ki, si, oi))
-    if n_fields > bound and not _CLEAN_BYTES.take(data).all():
+    cap = len(block) // 2 + 1  # a line takes at least a digit and a \n
+    if scratch is None:
+        scratch = []
+    if not scratch or scratch[0].shape[0] < cap:
+        scratch[:] = [
+            np.empty(cap, dtype=np.int64),
+            np.empty(cap, dtype=np.int64),
+            np.empty(cap, dtype=np.int8),
+        ]
+    keys, sizes, ops = scratch
+    n = decode(
+        block, len(block), n_fields, ki,
+        -1 if si is None else si, -1 if oi is None else oi,
+        keys.ctypes.data, sizes.ctypes.data, ops.ctypes.data, cap,
+    )
+    if n < 0:
         return None
-    n = int(np.count_nonzero(data == _NL))
-    n_cr = int(np.count_nonzero(data == _CR))
-    if n_cr not in (0, n):  # mixed line ends or a stray \r
-        return None
-    seps = np.flatnonzero((data == _COMMA) | (data == _NL))
-    if seps.size != n * n_fields or not (data[seps[n_fields - 1::n_fields]] == _NL).all():
-        return None
-    starts = np.empty_like(seps)
-    starts[0] = 0
-    starts[1:] = seps[:-1] + 1
-    ends = seps
-    if n_cr:  # every line ends in \r\n: the last field stops at the \r
-        ends = seps.copy()
-        ends[n_fields - 1::n_fields] -= 1
-        if not (data[ends[n_fields - 1::n_fields]] == _CR).all():
-            return None
-    lengths = ends - starts
-
-    keys = _parse_digits(data, ends[ki::n_fields], lengths[ki::n_fields])
-    if keys is None:
-        return None
-    if si is None:
-        sizes = np.ones(n, dtype=np.int64)
-    else:
-        parsed = _parse_digits(data, ends[si::n_fields], lengths[si::n_fields])
-        if parsed is None or parsed.min() < 1:
-            return None
-        sizes = parsed
-    if oi is None:
-        ops = np.zeros(n, dtype=np.int8)
-    else:
-        op_codes = _parse_ops(data, starts[oi::n_fields], lengths[oi::n_fields])
-        if op_codes is None:
-            return None
-        ops = op_codes
-    return keys, sizes, ops
+    return keys[:n].copy(), sizes[:n].copy(), ops[:n].copy()
 
 
 class _CsvRowReader:
@@ -280,7 +222,8 @@ class _CsvRowReader:
         """The records of :meth:`rows`, read from a binary file in blocks.
 
         Each block of ``_BLOCK_BYTES`` (extended to a line end) that
-        :func:`_decode_block` accepts is yielded as one column triple.
+        :func:`_decode_block` accepts is yielded as one column triple,
+        decoded through scratch columns this reader owns.
         Every other block is split into lines exactly as a ``newline=""``
         text file would be and fed to one ``csv.reader`` that lives for
         the whole file, whose rows are validated and yielded one at a
@@ -291,6 +234,7 @@ class _CsvRowReader:
         """
         encoding = locale.getpreferredencoding(False)
         lines: Deque[str] = deque()
+        scratch: List[np.ndarray] = []
 
         def read_block() -> bytes:
             block: bytes = raw.read(_BLOCK_BYTES)
@@ -328,7 +272,9 @@ class _CsvRowReader:
             block = read_block()
             if not block:
                 return
-            columns = _decode_block(block, n_fields, self._ki, self._si, self._oi)
+            columns = _decode_block(
+                block, n_fields, self._ki, self._si, self._oi, scratch
+            )
             if columns is None:
                 queue(block)
             else:

@@ -128,9 +128,10 @@ def iter_csv(
 
     Single pass, one open file handle, peak memory of one chunk plus one
     decode block — the file never fully materializes.  Blocks of clean
-    lines decode vectorized; any block the fast path cannot prove clean
-    is parsed row by row (see :mod:`repro.workloads.io`), so the chunks,
-    errors and skip counts are those of the row parser.  Row validation
+    lines decode in one native kernel call each; any block the kernel
+    refuses, and every block on a host without the kernel, is parsed row
+    by row (see :mod:`repro.workloads.io`), so the chunks, errors and
+    skip counts are those of the row parser.  Row validation
     and ``errors`` semantics are shared with
     :func:`repro.workloads.io.load_csv`; with ``errors="skip"`` each
     chunk's ``skipped_rows`` counts the rows dropped while filling *that*

@@ -35,8 +35,11 @@ def _worker(cache, thread_idx, errors):
                 key in cache  # noqa: B015 - pure probe on purpose
             else:
                 cache.discard(key)
-            # opportunistic invariant probe from inside the storm
-            assert cache.used_bytes <= cache.capacity_bytes
+            # opportunistic invariant probe from inside the storm; both
+            # reads under the cache's lock, since a concurrent resize may
+            # land between two unlocked reads
+            with cache._lock:
+                assert cache.used_bytes <= cache.capacity_bytes
     except BaseException as exc:  # pragma: no cover - failure path
         errors.append(exc)
 

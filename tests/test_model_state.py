@@ -97,6 +97,35 @@ def test_krr_model_rejects_wrong_kind():
         model.load_state({"kind": "something-else", "version": 1})
 
 
+@pytest.mark.parametrize("strategy", ["backward", "topdown"])
+def test_krr_model_stats_follow_the_stack_after_every_feed(strategy):
+    """``stats`` and a snapshot's ``"stats"`` carry the stack's update and
+    swap counters right after ``access`` and ``access_many``, before any
+    curve is read, and a restore takes them from the restored stack."""
+    keys = _keys(300)
+    model = KRRModel(k=4, strategy=strategy, seed=5)
+
+    def assert_synced(m: KRRModel) -> None:
+        counters = (m._stack.updates, m._stack.total_swaps)
+        assert (m.stats.stack_updates, m.stats.swap_positions) == counters
+        s = m.state_dict()["stats"]
+        assert (s["stack_updates"], s["swap_positions"]) == counters
+
+    for key in keys[:150]:
+        model.access(key)
+    assert model._stack.updates == 150
+    assert_synced(model)
+    model.access_many(keys[150:])
+    assert model._stack.updates == 300
+    assert_synced(model)
+
+    stale = model.state_dict()
+    stale["stats"]["stack_updates"] = stale["stats"]["swap_positions"] = 0
+    restored = KRRModel.from_state(_roundtrip(stale))
+    assert restored._stack.updates == 300
+    assert_synced(restored)
+
+
 def test_windowed_model_resume_across_rotations():
     keys = _keys(9_000, objects=150)
     window = 2_000  # several rotations inside 9k requests

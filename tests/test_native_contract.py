@@ -2,8 +2,8 @@
 unbound-export and fallback-twin rules, the build's fallback when the
 compiler hangs, plus direct native-kernel exercises (chain-walk resume,
 mid-chain draw-buffer refill, the rare exact-integer swap step, the
-in-place draw refill and the multi-lane walk) that the sanitizer CI job
-runs under ASan/UBSan.
+in-place draw refill, the multi-lane walk and the CSV block decoder's
+bounds) that the sanitizer CI job runs under ASan/UBSan.
 
 The lint fixtures build a tiny binding module next to a C file in a temp
 directory and run :func:`lint_paths` over it, exactly how the real
@@ -89,11 +89,18 @@ class TestCParser:
     def test_real_kernel_parses(self):
         text = (REPO / "src/repro/stack/_soa_kernel.c").read_text()
         exports = parse_c_exports(text)
-        assert [e.name for e in exports] == ["krr_backward_lanes"]
-        (export,) = exports
-        assert len(export.params) == 3
-        assert [p.is_pointer for p in export.params] == [False, True, True]
-        assert export.ret_kind == "i64"
+        assert [e.name for e in exports] == ["krr_backward_lanes", "csv_decode_block"]
+        walk, decode = exports
+        assert len(walk.params) == 3
+        assert [p.is_pointer for p in walk.params] == [False, True, True]
+        assert walk.ret_kind == "i64"
+        assert [p.is_pointer for p in decode.params] == [
+            True, False, False, False, False, False, True, True, True, False,
+        ]
+        assert [p.kind for p in decode.params if p.is_pointer] == [
+            "u8", "i64", "i64", "i8",
+        ]
+        assert decode.ret_kind == "i64"
 
 
 # ----------------------------------------------------------------------
@@ -423,3 +430,63 @@ class TestKernelUnderSanitizers:
             order = scalar.keys_in_stack_order()
             assert nat._stack[: len(nat)].tolist() == order
             assert py._stack[: len(py)].tolist() == order
+
+
+_CLEAN_LINES = ["7,31,get", "406,5,set", "1,1002,delete"]
+
+
+@needs_kernel
+class TestCsvDecoderUnderSanitizers:
+    """The CSV block decoder's bounds: every input sits in an exact-size
+    heap buffer and every output column holds exactly ``cap`` rows (plus
+    a guard row), so an ASan build catches a read or write past either."""
+
+    @staticmethod
+    def _decode(data: bytes, cap: int, fields=(3, 0, 1, 2)):
+        from repro.stack._native import load_csv_decoder
+
+        block = np.frombuffer(data, dtype=np.uint8).copy()
+        keys = np.full(cap + 1, -7, dtype=np.int64)
+        sizes = np.full(cap + 1, -7, dtype=np.int64)
+        ops = np.full(cap + 1, -7, dtype=np.int8)
+        n = load_csv_decoder()(
+            block.ctypes.data, block.size, *fields,
+            keys.ctypes.data, sizes.ctypes.data, ops.ctypes.data, cap,
+        )
+        assert keys[cap] == sizes[cap] == ops[cap] == -7  # nothing past cap
+        return n, keys[: max(n, 0)], sizes[: max(n, 0)], ops[: max(n, 0)]
+
+    def test_refuses_a_block_with_more_rows_than_cap(self):
+        data = "".join(line + "\n" for line in _CLEAN_LINES).encode()
+        for cap in range(5):
+            n, keys, sizes, ops = self._decode(data, cap)
+            assert n == (3 if cap >= 3 else -1)
+        assert keys.tolist() == [7, 406, 1]
+        assert sizes.tolist() == [31, 5, 1002]
+        assert ops.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_every_prefix_decodes_as_the_row_parser_does(self, ending):
+        """Cut a clean three-line block at each byte: the kernel takes a
+        prefix only if it is whole lines, and ``_decode_block`` (which
+        ends the final line) returns exactly the row parser's rows or
+        leaves the prefix to it."""
+        import io
+
+        from repro.workloads.io import _CsvRowReader, _decode_block
+
+        data = "".join(line + ending for line in _CLEAN_LINES).encode()
+        line_ends = {0} | {
+            i + 1 for i in range(len(data)) if data[i : i + 1] == b"\n"
+        }
+        for cut in range(len(data) + 1):
+            prefix = data[:cut]
+            n = self._decode(prefix, len(prefix) // 2 + 1)[0]
+            assert n == (data[:cut].count(b"\n") if cut in line_ends else -1)
+            columns = _decode_block(prefix, 3, 0, 1, 2)
+            if columns is None:
+                continue
+            text = "key,size,op" + ending + prefix.decode()
+            rows = list(_CsvRowReader("t.csv").rows(io.StringIO(text, newline="")))
+            assert list(zip(*(c.tolist() for c in columns))) == rows
+            assert [c.dtype for c in columns] == [np.int64, np.int64, np.int8]

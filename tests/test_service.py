@@ -508,6 +508,33 @@ class TestSupervisorEndToEnd:
             float(m) for m in oracle.mrc().miss_ratios
         ]
 
+    def test_query_to_a_worker_that_dies_answers_stale_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that dies on a query must not hold the caller for the
+        whole watchdog: the stale answer comes back once the process it
+        asked is gone."""
+        latches = tmp_path / "faults"
+        monkeypatch.setenv("REPRO_FAULTS", f"crash-once@query;state={latches}")
+        registry = TenantRegistry(tmp_path / "data")
+        sup = Supervisor(
+            registry,
+            watchdog_timeout=10.0,
+            restart_backoff=30.0,
+            snapshot_interval=60.0,
+        )
+        sup.start()
+        try:
+            sup.add_tenant(TenantConfig(tenant_id="t", seed=1))
+            t0 = time.monotonic()
+            answer = sup.query("t")
+            elapsed = time.monotonic() - t0
+            assert list(latches.iterdir()), "the worker never got the query"
+            assert answer["stale"]
+            assert elapsed < 3.0
+        finally:
+            sup.stop(grace=5.0)
+
     def test_query_without_any_snapshot_still_answers(self, tmp_path):
         registry = TenantRegistry(tmp_path)
         sup = Supervisor(registry, restart_backoff=30.0, snapshot_interval=60.0)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.model import KRRModel
 from repro.core.vkrr import MultiKRR
+from repro.stack._native import native_kernel_active
 from repro.workloads.io import save_csv, save_npz
 from repro.workloads.stream import (
     ChunkedTraceReader,
@@ -293,6 +294,28 @@ def test_block_decoder_matches_row_parser(
     _assert_same_decode(path, chunk_size, errors, block_bytes)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    text=csv_text_st(),
+    block_bytes=st.integers(1, 96),
+    chunk_size=st.integers(1, 9),
+    errors=st.sampled_from(["strict", "skip"]),
+)
+def test_without_the_kernel_every_block_takes_the_row_parser(
+    text, block_bytes, chunk_size, errors, tmp_path_factory
+):
+    """No compiler or ``REPRO_NATIVE=0``: the block reader still yields
+    the row parser's chunks, skip counts and strict-mode error."""
+    import repro.workloads.io as io_mod
+
+    path = tmp_path_factory.mktemp("nokernel") / "t.csv"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_mod, "_csv_decoder", lambda: None)
+        assert io_mod._decode_block(b"1,1,get\n", 3, 0, 1, 2) is None
+        _assert_same_decode(path, chunk_size, errors, block_bytes)
+
+
 #: Whole odd lines: blank, short, long, split, and a quoted field whose
 #: halves each look like a clean line.
 _ODD_LINES = [
@@ -327,6 +350,7 @@ def test_block_decoder_edge_cases_in_clean_blocks(tmp_path, ending, header):
             _assert_same_decode(path, 4, errors, 1 << 10)
 
 
+@pytest.mark.skipif(not native_kernel_active(), reason="no C compiler available")
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
 @pytest.mark.parametrize("header", ["key,size,op", "op,size,key", "key,size", "key"])
 def test_clean_blocks_skip_the_row_parser(tmp_path, monkeypatch, ending, header):
