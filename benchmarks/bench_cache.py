@@ -7,7 +7,10 @@ Measures, on a 500k-request zipf trace (50k objects, alpha=0.99):
    ``ByteKLRUCache`` simulator loop for context.  Gates: the embedded
    model must cost <= 15% over the uninstrumented path, and the
    uninstrumented path must never be slower than the instrumented one
-   (within measurement noise).
+   (within measurement noise).  A separate, ungated pass splits the
+   instrumented hot path by what each request did: hit, miss that fills
+   free room, or miss whose store evicts (count, mean ns, time share,
+   and evictions per evicting store).
 2. **Self-model accuracy, single-threaded** — the cache's self-reported
    MRC against an offline ``KRRModel`` fed the same trace at the same
    rate.  Gate: <= 0.02 absolute at every probed size.
@@ -102,6 +105,52 @@ def bench_hot_path(keys, n_objects, rounds=5):
         "instrumentation_overhead": round(overhead, 4),
         "model_sampled": instrumented.info()["model"]["requests_seen"],
     }, instrumented
+
+
+def bench_op_split(keys, n_objects):
+    """Per-op-kind split of the instrumented hot path: one pass from an
+    empty cache, so both the fill phase and the steady state show.
+
+    Each ``access`` is timed alone with ``perf_counter_ns``; the means
+    include the cost of the timer pair around it.
+    """
+    from repro.cache import SamplingLRUCache
+
+    cache = SamplingLRUCache(
+        _capacity(n_objects), k=K, seed=0, model_rate=MODEL_RATE
+    )
+    access, clock, stats = cache.access, time.perf_counter_ns, cache.stats
+    kinds = ("hit", "miss_fill", "miss_evict")
+    ns = dict.fromkeys(kinds, 0)
+    count = dict.fromkeys(kinds, 0)
+    evictions = 0
+    for key in keys:
+        before = stats.evictions
+        t0 = clock()
+        hit = access(key, OBJECT_SIZE)
+        dt = clock() - t0
+        if hit:
+            kind = "hit"
+        elif stats.evictions == before:
+            kind = "miss_fill"
+        else:
+            kind = "miss_evict"
+            evictions += stats.evictions - before
+        ns[kind] += dt
+        count[kind] += 1
+    total = sum(ns.values())
+    split = {
+        kind: {
+            "count": count[kind],
+            "mean_ns": round(ns[kind] / count[kind]) if count[kind] else None,
+            "share": round(ns[kind] / total, 4),
+        }
+        for kind in kinds
+    }
+    split["evictions_per_evicting_store"] = (
+        round(evictions / count["miss_evict"], 3) if count["miss_evict"] else 0.0
+    )
+    return split
 
 
 def _offline_curve(keys, rate):
@@ -200,6 +249,7 @@ def main(argv=None):
     keys = [int(k) for k in zipf_trace_keys(n_objects, n_requests, 0.99, rng=1)]
 
     hot, _ = bench_hot_path(keys, n_objects)
+    hot["op_split"] = bench_op_split(keys, n_objects)
 
     from repro.cache import SamplingLRUCache
 
@@ -237,6 +287,17 @@ def main(argv=None):
     out = REPO_ROOT / "BENCH_cache.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
 
+    def _split_lines(split):
+        return [
+            f"  {kind:<10} {split[kind]['count']:>8,} ops  "
+            f"mean {split[kind]['mean_ns'] or 0:>6,} ns  "
+            f"share {split[kind]['share']:.1%}"
+            for kind in ("hit", "miss_fill", "miss_evict")
+        ] + [
+            "  evictions per evicting store "
+            f"{split['evictions_per_evicting_store']}"
+        ]
+
     def _acc_lines(rows):
         return [
             f"  size {row['size']:>6}: self {row['self_model']:.4f}  "
@@ -254,6 +315,10 @@ def main(argv=None):
         f"  cache, instrumented       {hot['instrumented_rps']:>9,}  "
         f"(model overhead {hot['instrumentation_overhead']:.1%}, "
         f"limit {MAX_OVERHEAD:.0%})",
+        "",
+        "instrumented hot path by op kind, one pass from empty "
+        "(ns include the timer pair):",
+        *_split_lines(hot["op_split"]),
         "",
         "self-model vs offline KRR, single-threaded:",
         *_acc_lines(acc_single),

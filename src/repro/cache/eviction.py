@@ -10,14 +10,23 @@ The core is deliberately tiny and dependency-free: a resident set with
 O(1) insert / swap-remove / uniform indexing, and a victim selector that
 samples ``K`` residents (with replacement — Redis semantics,
 Proposition 1 — or without, Proposition 2) and returns the least
-recently used of the sample.
+recently used of the sample.  The simulators pass a
+:class:`ResidentSet`'s keys and a key -> clock dict; the cache passes
+its slot numbers (``range(n)``) and a clock column indexed by slot.
 
 PRNG contract
 -------------
-``select_victim`` consumes exactly ``K`` ``rnd.randrange`` draws in
-with-replacement mode and exactly one ``rnd.sample`` draw otherwise,
-regardless of ``protect`` — callers that inline the same loop for speed
-(``KLRUCache.access_many``) stay bit-identical to callers that delegate.
+``select_victim`` consumes exactly ``K`` ``rnd.randrange(n)``-equivalent
+draws in with-replacement mode and exactly one ``rnd.sample`` draw
+otherwise, regardless of ``protect`` — callers that inline the same loop
+for speed (``KLRUCache.access_many``) stay bit-identical to callers that
+delegate.  A draw is ``randrange(n)`` inlined as CPython's
+``Random._randbelow_with_getrandbits``: ``getrandbits(n.bit_length())``
+until the value is below ``n``.  It yields the same numbers and leaves
+the same generator state as ``randrange(n)`` (tested on each CPython
+version CI runs), but one draw may call ``getrandbits`` more than once.
+``rnd`` must therefore draw ``randrange`` through ``getrandbits``, as
+``random.Random`` does.
 
 Protect semantics
 -----------------
@@ -34,7 +43,16 @@ extraction fixed).
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    TypeVar,
+)
 
 __all__ = [
     "NO_PROTECT",
@@ -54,6 +72,14 @@ class _NoProtect:
 
 #: Pass as ``protect`` (the default) when no key should be shielded.
 NO_PROTECT: Hashable = _NoProtect()
+
+_K = TypeVar("_K", bound=Hashable)
+
+
+class _Recency(Protocol):
+    """A key -> clock dict, or a clock column indexed by slot number."""
+
+    def __getitem__(self, key: Any, /) -> int: ...
 
 
 class ResidentSet:
@@ -90,22 +116,23 @@ class ResidentSet:
 
 
 def select_victim(
-    keys: List[Hashable],
-    last_access: Dict[Hashable, int],
+    keys: Sequence[_K],
+    last_access: _Recency,
     rnd: random.Random,
     k: int,
     with_replacement: bool,
     protect: Hashable = NO_PROTECT,
-) -> Optional[Hashable]:
+) -> Optional[_K]:
     """Pick the sampled-LRU victim among ``keys``.
 
     Parameters
     ----------
     keys:
-        Dense resident-key array (a :attr:`ResidentSet.keys`); must be
-        non-empty.
+        Dense resident-key array (a :attr:`ResidentSet.keys`), or the
+        slot numbers ``range(n)`` of a slot table.
     last_access:
-        key -> monotone access-clock value; smaller is older.
+        key -> monotone access-clock value, smaller is older; for slot
+        numbers, the clock column indexed by slot.
     rnd:
         The cache's PRNG (``random.Random``); consumed per the module
         contract above.
@@ -115,19 +142,25 @@ def select_victim(
         Redis "placing back" sampling when True, distinct-resident
         sampling when False.
     protect:
-        Key to shield while alternatives exist (see module docstring).
+        Key (or slot) to shield while alternatives exist (see module
+        docstring).
 
     Returns the victim key, or ``None`` only when ``keys`` is empty.
     """
     n = len(keys)
     if n == 0:
         return None
-    victim: Optional[Hashable] = None
+    victim: Optional[_K] = None
     vt: Optional[int] = None
     if with_replacement:
-        randrange = rnd.randrange
+        getrandbits = rnd.getrandbits
+        bits = n.bit_length()
         for _ in range(k):
-            cand = keys[randrange(n)]
+            # rnd.randrange(n), inlined (see the PRNG contract)
+            i = getrandbits(bits)
+            while i >= n:
+                i = getrandbits(bits)
+            cand = keys[i]
             if cand == protect and n > 1:
                 continue
             ct = last_access[cand]

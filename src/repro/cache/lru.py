@@ -24,16 +24,29 @@ model read flushes the buffer first, so batching is invisible except as
 amortized cost.  The uninstrumented hot path (``instrument=False``)
 skips all of it.
 
+Resident state
+--------------
+One slot table holds the residents: ``_residents`` maps key -> slot,
+and the slot columns ``_keys``, ``_values`` and ``_atime`` (the recency
+clock of the slot's last touch) are swap-removed together, so a hit, a
+store and a victim draw each index the same table after one dict probe.
+Victims are drawn by the shared
+:func:`~repro.cache.eviction.select_victim` over slot numbers, with
+``_atime`` as the recency column.  ``_sizes`` maps key -> bytes.
+
 Lock discipline
 ---------------
-One ``threading.Lock`` guards *all* mutable state (resident set, byte
+One ``threading.Lock`` guards *all* mutable state (slot table, byte
 accounting, recency clock, PRNG, stats, models).  Every public method
 acquires it exactly once and never calls another public method while
-holding it; ``_locked``-suffixed helpers require it held.  Curve queries
-(:meth:`mrc`, :meth:`miss_ratio_at`, …) snapshot model state under the
-lock, then interpolate outside it.  ``MutableMapping`` mixin compounds
-(``pop``, ``setdefault``, ``update``) are each a sequence of atomic
-primitives, not atomic as a whole.
+holding it; ``_locked``-suffixed helpers require it held.  The three hot
+paths (:meth:`get`, :meth:`access`, :meth:`put`) hold it with
+``acquire()``/``try``/``finally: release()``, which saves the lock's
+``__enter__``/``__exit__`` calls on every request (docs/CACHE.md has
+the numbers).  Curve queries (:meth:`mrc`, :meth:`miss_ratio_at`, …)
+snapshot model state under the lock, then interpolate outside it.
+``MutableMapping`` mixin compounds (``pop``, ``setdefault``, ``update``)
+are each a sequence of atomic primitives, not atomic as a whole.
 
 What counts as a modeled reference
 ----------------------------------
@@ -77,7 +90,7 @@ from ..core.windowed import WindowedKRRModel
 from ..mrc.curve import MissRatioCurve
 from ..sampling.spatial import SpatialSampler
 from ..simulator.base import CacheStats
-from .eviction import NO_PROTECT, ResidentSet, select_victim
+from .eviction import select_victim
 
 if TYPE_CHECKING:  # runtime import is deferred to break the cycle
     from ..adaptive.dlru import RetuneEvent
@@ -195,10 +208,12 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
         self.track_sizes = bool(track_sizes)
 
         self._lock = threading.Lock()
-        self._data: Dict[Hashable, Any] = {}
+        # The slot table (see the module docstring).
+        self._residents: Dict[Hashable, int] = {}
+        self._keys: List[Hashable] = []
+        self._values: List[Any] = []
+        self._atime: List[int] = []
         self._sizes: Dict[Hashable, int] = {}
-        self._residents = ResidentSet()
-        self._last_access: Dict[Hashable, int] = {}
         self._clock = 0
         self._used = 0
         self.stats = CacheStats()
@@ -283,22 +298,22 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
     def __repr__(self) -> str:
         return (
             f"<SamplingLRUCache {self.name!r} {self._used}/{self._capacity_bytes} "
-            f"bytes, {len(self._data)} objects, K={self._k} "
+            f"bytes, {len(self._keys)} objects, K={self._k} "
             f"at 0x{id(self):012x}>"
         )
 
     # ------------------------------------------------------------------
     # mapping protocol
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._keys)
 
     def __contains__(self, key: object) -> bool:
         # Pure probe: no recency touch, no stats, no model feed.
-        return key in self._data
+        return key in self._residents
 
     def __iter__(self) -> Iterator[Hashable]:
         with self._lock:
-            return iter(list(self._data))
+            return iter(list(self._residents))
 
     def __getitem__(self, key: Hashable) -> Any:
         out = self.get(key, _MISSING)
@@ -311,9 +326,10 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
 
     def __delitem__(self, key: Hashable) -> None:
         with self._lock:
-            if key not in self._residents:
+            slot = self._residents.get(key)
+            if slot is None:
                 raise KeyError(key)
-            self._remove_locked(key)
+            self._remove_locked(slot)
 
     # ------------------------------------------------------------------
     # primary API
@@ -324,12 +340,15 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
         :meth:`access` are the measured hot paths and a Python call per
         request is most of the instrumentation budget.
         """
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self._clock += 1
             self._references += 1
             pending = self._pending_keys
-            if key in self._residents:
-                self._last_access[key] = self._clock
+            slot = self._residents.get(key)
+            if slot is not None:
+                self._atime[slot] = self._clock
                 self.stats.hits += 1
                 if pending is not None:
                     if key not in self._drop_memo:
@@ -338,7 +357,7 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
                             self._pending_sizes.append(self._sizes[key])
                         if len(pending) >= self._flush_every:
                             self._flush_pending_locked()
-                return self._data[key]
+                return self._values[slot]
             self.stats.misses += 1
             if pending is not None:
                 if key not in self._drop_memo:
@@ -348,6 +367,8 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
                     if len(pending) >= self._flush_every:
                         self._flush_pending_locked()
             return default
+        finally:
+            lock.release()
 
     def access(self, key: Hashable, size: int = 1) -> bool:
         """Simulator-style access: touch-or-insert, returns hit.
@@ -357,12 +378,15 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
         to drive the cache with the same traces as the simulators.
         The model feed is inlined, as in :meth:`get`.
         """
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self._clock += 1
             self._references += 1
             pending = self._pending_keys
-            if key in self._residents:
-                self._last_access[key] = self._clock
+            slot = self._residents.get(key)
+            if slot is not None:
+                self._atime[slot] = self._clock
                 self.stats.hits += 1
                 if pending is not None:
                     if key not in self._drop_memo:
@@ -380,8 +404,10 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
                         self._pending_sizes.append(size)
                     if len(pending) >= self._flush_every:
                         self._flush_pending_locked()
-            self._store_locked(key, None, int(size))
+            self._insert_locked(key, None, int(size))
             return False
+        finally:
+            lock.release()
 
     def put(self, key: Hashable, value: Any, size: Optional[int] = None) -> bool:
         """Store ``key -> value``; returns True iff the key is resident after.
@@ -396,74 +422,102 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
         nbytes = int(size) if size is not None else self._sizeof(value)
         if nbytes < 0:
             raise ValueError(f"object size must be >= 0, got {nbytes}")
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self._clock += 1
             if self._model_stores:
                 self._reference_locked(key, nbytes)
-            return self._store_locked(key, value, nbytes)
+            slot = self._residents.get(key)
+            if slot is None:
+                return self._insert_locked(key, value, nbytes)
+            if nbytes > self._capacity_bytes:
+                # Uncacheable: drop the stale smaller copy.
+                self._remove_locked(slot)
+                self.rejected += 1
+                return False
+            self._values[slot] = value
+            self._atime[slot] = self._clock
+            old = self._sizes[key]
+            if old != nbytes:
+                # As in _insert_locked: the grown bytes are published
+                # after eviction, and the key itself is never the victim.
+                budget = self._capacity_bytes - (nbytes - old)
+                if self._used > budget:
+                    self._evict_until_fits_locked(slot, budget)
+                self._sizes[key] = nbytes
+                self._used += nbytes - old
+            return True
+        finally:
+            lock.release()
 
     def discard(self, key: Hashable) -> bool:
         """Remove the key if resident; returns whether it was."""
         with self._lock:
-            if key not in self._residents:
+            slot = self._residents.get(key)
+            if slot is None:
                 return False
-            self._remove_locked(key)
+            self._remove_locked(slot)
             return True
 
     def clear(self) -> None:
         with self._lock:
-            self._data.clear()
+            self._residents.clear()
+            self._keys.clear()
+            self._values.clear()
+            self._atime.clear()
             self._sizes.clear()
-            self._last_access.clear()
-            self._residents = ResidentSet()
             self._used = 0
 
     # ------------------------------------------------------------------
     # locked internals
-    def _store_locked(self, key: Hashable, value: Any, nbytes: int) -> bool:
-        if nbytes > self._capacity_bytes:
-            # Uncacheable: never admit, and drop any stale smaller copy.
-            if key in self._residents:
-                self._remove_locked(key)
+    def _insert_locked(self, key: Hashable, value: Any, nbytes: int) -> bool:
+        """Admit a key that is not resident; returns whether it was."""
+        capacity = self._capacity_bytes
+        if nbytes > capacity:
+            # Uncacheable: never admit.
             self.rejected += 1
             return False
+        slot = len(self._keys)
+        self._residents[key] = slot
+        self._keys.append(key)
+        self._values.append(value)
+        self._atime.append(self._clock)
         # The new bytes are published only after eviction made room, so
         # a lock-free used_bytes read never exceeds capacity_bytes.  The
         # key itself is never the victim here: it is shielded while other
         # residents exist, and alone it fits (nbytes <= capacity).
-        if key in self._residents:
-            old = self._sizes[key]
-            self._data[key] = value
-            self._last_access[key] = self._clock
-            if old != nbytes:
-                self._evict_until_fits_locked(
-                    key, self._capacity_bytes - (nbytes - old)
-                )
-                self._sizes[key] = nbytes
-                self._used += nbytes - old
-            return key in self._residents
-        self._residents.add(key)
-        self._data[key] = value
-        self._last_access[key] = self._clock
-        self._evict_until_fits_locked(key, self._capacity_bytes - nbytes)
+        if self._used > capacity - nbytes:
+            self._evict_until_fits_locked(slot, capacity - nbytes)
         self._sizes[key] = nbytes
         self._used += nbytes
         return True
 
-    def _remove_locked(self, key: Hashable) -> None:
-        self._residents.remove(key)
-        del self._data[key]
-        del self._last_access[key]
+    def _remove_locked(self, slot: int) -> None:
+        """Swap-remove ``slot``: the last slot's entry moves into it."""
+        keys = self._keys
+        key = keys[slot]
+        del self._residents[key]
         self._used -= self._sizes.pop(key)
+        last_key = keys.pop()
+        last_value = self._values.pop()
+        last_atime = self._atime.pop()
+        if slot < len(keys):
+            keys[slot] = last_key
+            self._values[slot] = last_value
+            self._atime[slot] = last_atime
+            self._residents[last_key] = slot
 
-    def _evict_until_fits_locked(self, protect: Hashable, budget: int) -> None:
+    def _evict_until_fits_locked(self, protect: int, budget: int) -> None:
         """Evict until ``used`` fits ``budget``: the capacity less the
         bytes a store adds, or a new, smaller capacity.  Callers publish
-        those bytes, or that capacity, only afterwards."""
-        while self._used > budget and len(self._residents) > 0:
+        those bytes, or that capacity, only afterwards.  ``protect`` is
+        the slot of the key that triggered the eviction, or -1."""
+        while self._used > budget and self._keys:
+            n = len(self._keys)
             victim = select_victim(
-                self._residents.keys,
-                self._last_access,
+                range(n),
+                self._atime,
                 self._rnd,
                 self._k,
                 self.with_replacement,
@@ -471,6 +525,10 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
             )
             if victim is None:  # pragma: no cover - n > 0 always selects
                 break
+            if protect == n - 1:
+                # The swap-remove moves the protected last slot into the
+                # victim's (a no-op when it is the victim: n was 1).
+                protect = victim
             self._remove_locked(victim)
             self.stats.evictions += 1
 
@@ -592,7 +650,7 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
         check_positive("capacity_bytes", capacity_bytes)
         with self._lock:
             before = self.stats.evictions
-            self._evict_until_fits_locked(NO_PROTECT, int(capacity_bytes))
+            self._evict_until_fits_locked(-1, int(capacity_bytes))
             self._capacity_bytes = int(capacity_bytes)
             return self.stats.evictions - before
 
@@ -625,7 +683,7 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
             new_capacity = int(max(min_bytes, recommended))
             if max_bytes is not None:
                 new_capacity = min(new_capacity, int(max_bytes))
-            self._evict_until_fits_locked(NO_PROTECT, new_capacity)
+            self._evict_until_fits_locked(-1, new_capacity)
             self._capacity_bytes = new_capacity
             return new_capacity
 
@@ -696,7 +754,7 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
                 "name": self.name,
                 "capacity_bytes": self._capacity_bytes,
                 "used_bytes": self._used,
-                "objects": len(self._data),
+                "objects": len(self._keys),
                 "k": self._k,
                 "with_replacement": self.with_replacement,
                 "instrumented": self._instrumented,

@@ -159,6 +159,40 @@ def _checked_batch(keys: List[int], sizes: Optional[List[int]]) -> List[int]:
 # Worker process
 # ----------------------------------------------------------------------
 
+def _start_with_sigterm_blocked(
+    proc: multiprocessing.process.BaseProcess,
+) -> None:
+    """Fork ``proc`` with SIGTERM blocked in the calling thread, then
+    restore its mask.
+
+    The child inherits the mask, so a ``terminate()`` sent before its
+    prologue (:func:`_worker_signals`) has reset SIGTERM stays pending
+    instead of reaching the parent's inherited Python-level handler,
+    where it is lost once the handler is reset.
+    """
+    old = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        proc.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, old)
+
+
+def _worker_signals() -> None:
+    """Worker prologue: die plainly on SIGTERM, ignore SIGINT.
+
+    The parent's chained SIGTERM handler (shm cleanup, daemon shutdown)
+    is inherited across fork; a worker must die plainly instead.
+    SIGTERM is unblocked only after the reset, so one that arrived
+    earlier takes the default action now.
+    """
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    except ValueError:  # pragma: no cover - non-main-thread spawn
+        pass
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
 def _worker_main(
     tenant_id: str,
     config_dict: Dict[str, Any],
@@ -169,13 +203,7 @@ def _worker_main(
     snapshot_every: Optional[int],
 ) -> None:
     """Tenant worker: restore, replay, then drain the inbox forever."""
-    # The parent's chained SIGTERM handler (shm cleanup, daemon shutdown)
-    # is inherited across fork; a worker must die plainly instead.
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except ValueError:  # pragma: no cover - non-main-thread spawn
-        pass
+    _worker_signals()
     config = TenantConfig.from_dict(config_dict)
     root = Path(tenant_dir)
     snapshots = SnapshotStore(root / "snapshots")
@@ -496,7 +524,7 @@ class Supervisor:
             name=f"repro-tenant-{t.config.tenant_id}",
             daemon=True,
         )
-        proc.start()
+        _start_with_sigterm_blocked(proc)
         with t.lock:
             t.proc = proc
             t.state = _RUNNING

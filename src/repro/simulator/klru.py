@@ -15,8 +15,9 @@ Victim selection lives in :mod:`repro.cache.eviction` — the production
 through the same :func:`~repro.cache.eviction.select_victim` core, so
 simulated and deployed eviction can never drift apart.  The inlined loop
 in :meth:`KLRUCache.access_many` is a hoisted copy of that core and must
-keep its PRNG contract (exactly K ``randrange`` draws per
-with-replacement eviction, one ``sample`` draw otherwise).
+keep its PRNG contract: exactly K ``randrange(n)``-equivalent draws per
+with-replacement eviction, each ``randrange`` inlined as the same
+``getrandbits`` loop, and one ``sample`` draw otherwise.
 """
 
 from __future__ import annotations
@@ -98,9 +99,10 @@ class KLRUCache:
         One flat loop with every attribute lookup hoisted and the
         resident-set bookkeeping inlined — the simulator's ground-truth
         sweeps spend their time here.  The PRNG is consumed in exactly
-        the per-access order (one ``randrange`` per with-replacement draw,
-        one ``sample`` per distinct draw), so stats, evictions and final
-        residency are identical to streaming the requests one by one.
+        the per-access order (one inlined ``randrange`` per
+        with-replacement draw, one ``sample`` per distinct draw), so
+        stats, evictions and final residency are identical to streaming
+        the requests one by one.
         ``sizes`` is accepted for interface symmetry and ignored, as in
         :meth:`access`.
         """
@@ -109,7 +111,7 @@ class KLRUCache:
         res_index = self._residents.index
         last = self._last_access
         rnd = self._rnd
-        randrange = rnd.randrange
+        getrandbits = rnd.getrandbits
         capacity = self.capacity
         k = self.k
         with_replacement = self.with_replacement
@@ -129,10 +131,18 @@ class KLRUCache:
             if len(res_keys) >= capacity:
                 n = len(res_keys)
                 if with_replacement:
-                    victim = res_keys[randrange(n)]
+                    # randrange(n), inlined as in select_victim
+                    bits = n.bit_length()
+                    i = getrandbits(bits)
+                    while i >= n:
+                        i = getrandbits(bits)
+                    victim = res_keys[i]
                     vt = last[victim]
                     for _ in range(k - 1):
-                        cand = res_keys[randrange(n)]
+                        i = getrandbits(bits)
+                        while i >= n:
+                            i = getrandbits(bits)
+                        cand = res_keys[i]
                         ct = last[cand]
                         if ct < vt:
                             victim, vt = cand, ct

@@ -26,6 +26,7 @@ from repro.service import (
 )
 from repro.service.handlers import Api
 from repro.service.snapshot import SnapshotError, write_atomic
+from repro.service.supervisor import _start_with_sigterm_blocked, _worker_signals
 from repro.service.wal import WALError
 
 
@@ -592,3 +593,41 @@ class TestSupervisorEndToEnd:
         curve = oracle.mrc()
         assert r["mrc"]["sizes"] == [float(s) for s in curve.sizes]
         assert r["mrc"]["miss_ratios"] == [float(m) for m in curve.miss_ratios]
+
+
+# ----------------------------------------------------------------------
+# Worker start-up
+# ----------------------------------------------------------------------
+def _prologue_then_wait() -> None:
+    _worker_signals()
+    time.sleep(30)
+
+
+def test_terminate_right_after_start_always_kills():
+    """A worker terminated before its prologue has run must still die.
+
+    The parent holds a Python-level SIGTERM handler, as ``repro serve``
+    always does.  Without SIGTERM blocked across the fork, a signal that
+    reached the child before the prologue reset SIGTERM was lost and the
+    child ran on; this loop then fails at its first child.  One child at
+    a time.
+    """
+    import multiprocessing
+    import signal
+
+    ctx = multiprocessing.get_context("fork")
+    prev = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    try:
+        for i in range(200):
+            proc = ctx.Process(target=_prologue_then_wait, daemon=True)
+            _start_with_sigterm_blocked(proc)
+            proc.terminate()
+            proc.join(timeout=5)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=5)
+                pytest.fail(f"child {i} survived terminate()")
+            assert proc.exitcode == -signal.SIGTERM
+        assert signal.SIGTERM not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    finally:
+        signal.signal(signal.SIGTERM, prev)
