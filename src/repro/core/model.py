@@ -5,11 +5,12 @@ cache's eviction sampling size ``K``, stream requests (or feed a whole
 :class:`~repro.workloads.trace.Trace`), and read out miss ratio curves at
 object or byte granularity.  Internally it wires together:
 
-* one KRR stack, picked by the configuration: the array-native
-  :class:`~repro.stack.soa.SoAKRRStack` for the backward and linear
-  strategies at object granularity, the scalar
+* one KRR stack, picked by the configuration in :func:`build_stack`:
+  the array-native :class:`~repro.stack.soa.SoAKRRStack` for the backward
+  and linear strategies at object granularity, the scalar
   :class:`~repro.core.krr.KRRStack` for ``topdown`` and byte distances
-  (:func:`~repro.stack.soa.soa_supports` decides),
+  (every grid cell of :class:`~repro.core.vkrr.MultiKRR` gets its stack
+  from the same function),
 * the ``K' = K^1.4`` correction (§4.2, on by default),
 * SHARDS-style spatial sampling (§2.4, optional; ``sampling_rate="auto"``
   applies the paper's rate-selection rule),
@@ -50,6 +51,33 @@ __all__ = [
     "model_trace",
 ]
 
+
+def build_stack(
+    effective_k: float,
+    strategy: str,
+    rng: RngLike,
+    track_sizes: bool = False,
+    size_array_base: int = 2,
+    use_native: Optional[bool] = None,
+) -> Union[SoAKRRStack, KRRStack]:
+    """The stack one configuration runs on, for a model and a grid cell alike.
+
+    Backward and linear updates at object granularity run on
+    :class:`~repro.stack.soa.SoAKRRStack` (``use_native`` goes to it);
+    ``topdown`` and byte distances run on the scalar
+    :class:`~repro.core.krr.KRRStack`.
+    """
+    if soa_supports(strategy, track_sizes):
+        return SoAKRRStack(
+            effective_k, strategy=strategy, rng=rng, use_native=use_native
+        )
+    return KRRStack(
+        effective_k,
+        strategy=strategy,
+        rng=rng,
+        track_sizes=track_sizes,
+        size_array_base=size_array_base,
+    )
 
 
 @dataclass
@@ -138,19 +166,9 @@ class KRRModel:
             self._sampler = None  # resolved per trace in process()
         else:
             self._sampler = SpatialSampler(float(sampling_rate))
-        self._stack: Union[SoAKRRStack, KRRStack]
-        if soa_supports(strategy, track_sizes):
-            self._stack = SoAKRRStack(
-                self.effective_k, strategy=strategy, rng=self._rng
-            )
-        else:
-            self._stack = KRRStack(
-                self.effective_k,
-                strategy=strategy,
-                rng=self._rng,
-                track_sizes=track_sizes,
-                size_array_base=size_array_base,
-            )
+        self._stack = build_stack(
+            self.effective_k, strategy, self._rng, track_sizes, size_array_base
+        )
         scale = self._sampler.scale if self._sampler else 1.0
         self._obj_hist = DistanceHistogram(scale=scale)
         self._byte_hist = (

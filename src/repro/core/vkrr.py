@@ -3,53 +3,59 @@
 A grid question — "what does the MRC look like for K in {1, 2, 5, 10},
 with and without spatial sampling?" — could be answered by one full
 :class:`~repro.core.model.KRRModel` per configuration: C passes over the
-trace, C factorizations, C hash columns.  MultiKRR evaluates the grid in
-**one streaming pass**: the trace is prepared once (dense key ids via
-factorization, one hash column per sampling seed), every configuration
-owns a growable :class:`~repro.stack.soa.SoAKRRStack` fed those shared
-ids, and each request chunk is pushed through all C stacks before the
-next chunk is touched — the chunk stays hot in cache while every
-configuration consumes it.  The backward cells advance together, in one
-:func:`~repro.stack.soa.walk_backward_lanes` call per chunk that keeps
-two cells' swap chains in flight.  A streamed run interns and hashes
-chunk by chunk instead and feeds the same stacks the same way.
+trace, C key conversions, C hash columns.  MultiKRR evaluates the grid in
+**one streaming pass**: each chunk is interned once (dense key ids in
+first-seen order, via :class:`~repro.engine.plan.StreamingTracePlan`) and
+hashed once per sampling seed, and every configuration consumes the chunk
+before the next one is touched.  An in-memory trace is fed as its
+:func:`~repro.workloads.stream.iter_chunks` slices, so a trace and a
+stream go through the same body.
+
+Each configuration runs on the stack a ``KRRModel`` of the same
+configuration builds (:func:`~repro.core.model.build_stack`).  The
+backward cells on :class:`~repro.stack.soa.SoAKRRStack` advance together,
+in one :func:`~repro.stack.soa.walk_backward_lanes` call per chunk that
+keeps two cells' swap chains in flight; the linear SoA cells take the
+chunk's ids one by one.  ``topdown`` and byte-level (``track_sizes``)
+cells run on the scalar :class:`~repro.core.krr.KRRStack`, fed the same
+dense ids as key labels together with the chunk's sizes, and a
+``track_sizes`` cell reports its byte curve (unit ``"bytes"``).
 
 **Seeding contract.**  Per-configuration seeds are spawned from the grid
 seed by position with :func:`spawn_seeds`, the engine-wide derivation,
 and each stack owns its own generator, so chunking and configuration
-order cannot leak draws between cells.  Every cell's distances,
-histogram and counters are bit-identical to an independent
-``KRRModel.process`` run with the matching seed (property-tested in
-``tests/test_vkrr.py``).
+order cannot leak draws between cells.  Ids are opaque labels to both
+stacks (distances depend on stack positions, and the scalar stack keys
+its object sizes by label), so every cell's distances, histograms and
+counters are bit-identical to an independent ``KRRModel.process`` run
+with the matching seed (property-tested in ``tests/test_vkrr.py``).
 
 Cells are :class:`SweepConfig` points and results are
 :class:`SweepResult` rows — the one config and result type of every grid
 evaluator (:class:`~repro.engine.sweep.ModelSweep` and
-:class:`~repro.engine.fleet.FleetSweep` run their SoA-capable cells
-through MultiKRR).  Cells are limited to what
-:func:`~repro.stack.soa.soa_supports` accepts (``backward``/``linear``
-at object granularity); ``topdown`` and byte-level tracking
-(``track_sizes``) need the scalar :class:`~repro.core.krr.KRRStack`,
-which ``ModelSweep`` runs as a second pass, one ``KRRModel`` per cell.
+:class:`~repro.engine.fleet.FleetSweep` run each trace's grid as one
+MultiKRR pass).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .._util import check_sampling_size
-from ..kernels.prep import factorize_keys
-from ..mrc.builder import from_distance_histogram, from_points
+from ..mrc.builder import from_byte_histogram, from_distance_histogram, from_points
 from ..mrc.curve import MissRatioCurve
 from ..sampling.spatial import SpatialSampler
-from ..stack.histogram import DistanceHistogram
-from ..stack.soa import SoAKRRStack, soa_supports, walk_backward_lanes
+from ..stack.histogram import ByteDistanceHistogram, DistanceHistogram
+from ..stack.soa import SoAKRRStack, walk_backward_lanes
+from ..workloads.stream import DEFAULT_CHUNK, iter_chunks
 from ..workloads.trace import Trace
 from .correction import DEFAULT_EXPONENT, corrected_k
+from .krr import KRRStack
+from .model import build_stack
 
 __all__ = [
     "MultiKRR",
@@ -57,12 +63,6 @@ __all__ = [
     "SweepResult",
     "spawn_seeds",
 ]
-
-
-#: Default requests per streaming chunk (all C stacks consume each chunk
-#: before the next is touched; the value only affects locality, never
-#: results — per-config draws are fixed by per-config generators).
-DEFAULT_CHUNK = 1 << 18
 
 
 def spawn_seeds(n: int, seed: int = 0) -> List[int]:
@@ -93,6 +93,27 @@ class SweepConfig:
         return f"K={self.k}/{self.strategy}/{rate}"
 
 
+def _grid_configs(
+    ks: Iterable[int],
+    strategies: Iterable[str],
+    sampling_rates: Iterable[Optional[float]],
+    correction: bool,
+    track_sizes: bool = False,
+) -> List[SweepConfig]:
+    """``ks × strategies × sampling_rates``, K outermost: the one cell
+    order of ``MultiKRR.grid``, ``ModelSweep.grid`` and ``FleetSweep.grid``."""
+    return [
+        SweepConfig(
+            k=int(k),
+            strategy=s,
+            sampling_rate=r,
+            correction=correction,
+            track_sizes=track_sizes,
+        )
+        for k, s, r in product(ks, strategies, sampling_rates)
+    ]
+
+
 @dataclass
 class SweepResult:
     """One configuration's finished model: its curve points plus counters."""
@@ -119,54 +140,77 @@ _MaskKey = Tuple[int, int, int]
 
 
 class _Cell:
-    """Internal per-configuration state: stack row + histogram + counters."""
+    """Internal per-configuration state: stack + histograms + counters."""
 
-    __slots__ = ("config", "seed", "stack", "hist", "mask_key", "sampled", "cold")
+    __slots__ = (
+        "config", "seed", "stack", "hist", "byte_hist", "mask_key", "sampled", "cold"
+    )
 
     def __init__(
         self,
         config: SweepConfig,
         seed: int,
-        stack: SoAKRRStack,
-        hist: DistanceHistogram,
+        stack: Union[SoAKRRStack, KRRStack],
+        scale: float,
         mask_key: Optional[_MaskKey],
     ) -> None:
         self.config = config
         self.seed = seed
         self.stack = stack
-        self.hist = hist
+        self.hist = DistanceHistogram(scale=scale)
+        self.byte_hist: Optional[ByteDistanceHistogram] = (
+            ByteDistanceHistogram(scale=scale) if config.track_sizes else None
+        )
         self.mask_key = mask_key
         self.sampled = 0
         self.cold = 0
 
 
 def _advance(
-    cells: List[_Cell], kids: np.ndarray, masks: Dict[_MaskKey, np.ndarray]
+    cells: List[_Cell],
+    kids: np.ndarray,
+    sizes: np.ndarray,
+    masks: Dict[_MaskKey, np.ndarray],
 ) -> None:
-    """Push one chunk of dense ids through every cell.
+    """Push one chunk of dense ids (and its sizes) through every cell.
 
-    Each distinct mask selects its cells' ids once; every backward cell
-    then advances in one :func:`~repro.stack.soa.walk_backward_lanes`
-    call, the linear cells one by one, and the histograms and counters
-    take the distances last.
+    Each distinct mask selects its cells' ids once; every backward SoA
+    cell then advances in one :func:`~repro.stack.soa.walk_backward_lanes`
+    call and the linear SoA cells one by one.  The scalar cells take the
+    ids and sizes their mask selects as Python lists, converted once per
+    chunk and mask.  The histograms and counters take the distances last.
     """
     subs: Dict[Optional[_MaskKey], np.ndarray] = {None: kids}
     for mask_key, mask in masks.items():
         subs[mask_key] = kids[mask]
-    cell_kids = [subs[cell.mask_key] for cell in cells]
-    backward = [
-        c for c, cell in enumerate(cells) if cell.stack.strategy_name == "backward"
+    lanes = [
+        c
+        for c, cell in enumerate(cells)
+        if isinstance(cell.stack, SoAKRRStack)
+        and cell.stack.strategy_name == "backward"
     ]
     walked = walk_backward_lanes(
-        [cells[c].stack for c in backward], [cell_kids[c] for c in backward]
+        [cells[c].stack for c in lanes], [subs[cells[c].mask_key] for c in lanes]
     )
-    distances = dict(zip(backward, walked))
+    distances: Dict[int, np.ndarray] = dict(zip(lanes, walked))
+    lists: Dict[Optional[_MaskKey], Tuple[List[int], List[int]]] = {}
     for c, cell in enumerate(cells):
-        if c not in distances:
-            distances[c] = cell.stack.access_many_interned(cell_kids[c])
+        if c in distances:
+            continue
+        ids = subs[cell.mask_key]
+        if isinstance(cell.stack, SoAKRRStack):
+            distances[c] = cell.stack.access_many_interned(ids)
+            continue
+        if cell.mask_key not in lists:
+            rows = sizes if cell.mask_key is None else sizes[masks[cell.mask_key]]
+            lists[cell.mask_key] = (ids.tolist(), rows.tolist())
+        dist, byte_dist = cell.stack.access_many(*lists[cell.mask_key])
+        if cell.byte_hist is not None:
+            cell.byte_hist.record_many(byte_dist)
+        distances[c] = np.asarray(dist, dtype=np.int64)
     for c, cell in enumerate(cells):
         cell.hist.record_many(distances[c])
-        cell.sampled += int(cell_kids[c].shape[0])
+        cell.sampled += int(distances[c].shape[0])
         cell.cold += int(np.count_nonzero(distances[c] == -1))
 
 
@@ -176,8 +220,8 @@ class MultiKRR:
     Parameters
     ----------
     configs:
-        Grid cells (:class:`SweepConfig`; ``backward``/``linear`` only,
-        no ``track_sizes``).
+        Grid cells (:class:`SweepConfig`), any strategy, with or without
+        ``track_sizes``.
     seed:
         Grid-level seed; per-cell seeds come from :func:`spawn_seeds` by
         position.
@@ -200,11 +244,6 @@ class MultiKRR:
         if not self.configs:
             raise ValueError("need at least one grid configuration")
         for cfg in self.configs:
-            if not soa_supports(cfg.strategy, cfg.track_sizes):
-                raise ValueError(
-                    f"MultiKRR runs backward/linear cells at object "
-                    f"granularity; {cfg} needs the scalar stack (ModelSweep)"
-                )
             check_sampling_size(int(cfg.k))
         self.seed = int(seed)
         # Explicit per-cell seeds override the positional spawn — this is
@@ -231,11 +270,9 @@ class MultiKRR:
         seed: int = 0,
     ) -> "MultiKRR":
         """Cross-product grid, same cell order as ``ModelSweep.grid``."""
-        configs = [
-            SweepConfig(k=int(k), strategy=s, sampling_rate=r, correction=correction)
-            for k, s, r in product(ks, strategies, sampling_rates)
-        ]
-        return cls(configs, seed=seed)
+        return cls(
+            _grid_configs(ks, strategies, sampling_rates, correction), seed=seed
+        )
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -258,58 +295,29 @@ class MultiKRR:
     ) -> List[SweepResult]:
         """Evaluate every cell in one streaming pass; ordered like ``configs``.
 
-        The trace's dense key ids and each distinct sampling mask are
-        computed once here for the whole grid.  ``use_native`` is
-        forwarded to the SoA stacks.  ``chunk_size`` trades memory
-        locality only — results are bit-identical for any value.
-
-        ``stream`` accepts a bounded-memory
-        :class:`~repro.workloads.stream.TraceStream` instead of ``trace``:
-        keys are interned incrementally (first-seen dense ids via
-        :class:`~repro.engine.plan.StreamingTracePlan`), hash columns and
-        masks are computed per chunk and shared across cells, and each
-        cell's stack grows on demand.  Ids are opaque labels to the
-        update walk, so every cell's distances, histogram and counters
-        are **bit-identical** to the in-memory ``run(trace)`` over the
-        concatenated stream, for any chunking (property-tested in
-        ``tests/test_stream.py``).  The source chunking wins, so
-        ``chunk_size`` is ignored.
+        ``stream`` is any iterable of trace chunks (a bounded-memory
+        :class:`~repro.workloads.stream.TraceStream`), iterated once; an
+        in-memory ``trace`` goes through the same body as its
+        :func:`~repro.workloads.stream.iter_chunks` slices of
+        ``chunk_size`` rows (``chunk_size`` is ignored for a stream,
+        whose own chunking wins).  Keys are interned chunk by chunk in
+        first-seen order, hash columns and masks are computed per chunk
+        and shared across cells, and each cell's stack grows on demand.
+        Every cell's distances, histograms and counters are
+        **bit-identical** for any chunking, in memory or streamed
+        (property-tested in ``tests/test_vkrr.py`` and
+        ``tests/test_stream.py``).  ``use_native`` is forwarded to the
+        SoA stacks.
         """
-        if stream is not None:
-            if trace is not None:
-                raise ValueError("pass either trace= or stream=, not both")
-            return self._run_stream(stream, max_size, use_native)
-        if trace is None:
-            raise ValueError("run() needs a trace or a stream")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        keys = trace.keys
-        n = int(keys.shape[0])
-        _, kids = factorize_keys(keys)
-        cells, samplers = self._cells(use_native)
-        masks = {
-            mask_key: sampler.mask(keys) for mask_key, sampler in samplers.items()
-        }
-
-        # One pass: each chunk of dense ids visits every cell while hot.
-        for lo in range(0, n, chunk_size):
-            hi = min(n, lo + chunk_size)
-            _advance(
-                cells,
-                kids[lo:hi],
-                {mask_key: mask[lo:hi] for mask_key, mask in masks.items()},
-            )
-        return self._collect_results(cells, n, max_size)
-
-    def _run_stream(
-        self,
-        stream: Iterable[Trace],
-        max_size: Optional[int],
-        use_native: Optional[bool],
-    ) -> List[SweepResult]:
-        """Out-of-core half of :meth:`run`: per-chunk interning and masks."""
+        # Imported here: repro.engine imports this module.
         from ..engine.plan import StreamingTracePlan
 
+        if stream is None:
+            if trace is None:
+                raise ValueError("run() needs a trace or a stream")
+            stream = iter_chunks(trace, chunk_size)
+        elif trace is not None:
+            raise ValueError("pass either trace= or stream=, not both")
         splan = StreamingTracePlan()
         cells, samplers = self._cells(use_native)
         for chunk in stream:
@@ -321,7 +329,7 @@ class MultiKRR:
                 )
                 for mask_key, sampler in samplers.items()
             }
-            _advance(cells, kids, masks)
+            _advance(cells, kids, chunk.sizes, masks)
         return self._collect_results(cells, splan.n_requests, max_size)
 
     def _cells(
@@ -344,15 +352,14 @@ class MultiKRR:
                 if cfg.correction
                 else float(int(cfg.k))
             )
-            stack = SoAKRRStack(
+            stack = build_stack(
                 effective_k,
-                strategy=cfg.strategy,
-                rng=seeds[c],
+                cfg.strategy,
+                seeds[c],
+                cfg.track_sizes,
                 use_native=use_native,
             )
-            cells.append(
-                _Cell(cfg, seeds[c], stack, DistanceHistogram(scale=scale), mask_key)
-            )
+            cells.append(_Cell(cfg, seeds[c], stack, scale, mask_key))
         return cells, samplers
 
     def _collect_results(
@@ -360,18 +367,22 @@ class MultiKRR:
     ) -> List[SweepResult]:
         results: List[SweepResult] = []
         for cell in cells:
-            curve = from_distance_histogram(
-                cell.hist,
-                max_size=max_size,
-                label=f"KRR(K={int(cell.config.k)})",
-            )
+            if cell.byte_hist is not None:
+                curve, unit = from_byte_histogram(cell.byte_hist), "bytes"
+            else:
+                curve = from_distance_histogram(
+                    cell.hist,
+                    max_size=max_size,
+                    label=f"KRR(K={int(cell.config.k)})",
+                )
+                unit = "objects"
             results.append(
                 SweepResult(
                     config=cell.config,
                     seed=cell.seed,
                     sizes=curve.sizes,
                     miss_ratios=curve.miss_ratios,
-                    unit="objects",
+                    unit=unit,
                     requests_seen=n,
                     requests_sampled=cell.sampled,
                     cold_misses=cell.cold,

@@ -10,10 +10,9 @@ Seven pieces:
 * :mod:`repro.engine.sweep` — :class:`ModelSweep`: a grid of
   (K, strategy, sampling-rate) KRR configurations over one trace,
   evaluated in-process by :func:`~repro.engine.sweep.run_grid` — one
-  streamed :class:`~repro.core.vkrr.MultiKRR` pass for the SoA-capable
-  cells and one scalar pass for the rest — with per-configuration seeds
-  derived up front and JSONL checkpoint/resume via
-  :class:`SweepCheckpoint`.
+  streamed :class:`~repro.core.vkrr.MultiKRR` pass over every cell —
+  with per-configuration seeds derived up front and JSONL
+  checkpoint/resume via :class:`SweepCheckpoint`.
 * :mod:`repro.engine.fleet` — :class:`FleetSweep`: many traces × one
   config grid, one resilient worker task per trace running the same
   ``run_grid`` body out-of-core, with hierarchical (fleet-manifest +

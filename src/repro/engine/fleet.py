@@ -8,8 +8,8 @@ schedules one resilient task per trace, and each worker runs the
 engine's one grid body, :func:`~repro.engine.sweep.run_grid`, over its
 trace opened as a bounded-memory
 :class:`~repro.workloads.stream.TraceStream` — one streamed
-:class:`~repro.core.vkrr.MultiKRR` pass for the SoA-capable cells and
-one shared scalar pass for the rest (``topdown``, ``track_sizes``).
+:class:`~repro.core.vkrr.MultiKRR` pass over every cell of the grid,
+whatever its strategy or ``track_sizes``.
 
 A path source is identified by its path; an in-memory :class:`Trace` by
 its name, length and the CRC32 of its columns.
@@ -21,7 +21,9 @@ JSONL file.  Resume works at both levels: traces whose checkpoint holds
 every grid row are skipped in the parent without spawning a worker, and
 a partially-finished trace re-runs only its missing cells — with
 position-correct seeds via ``MultiKRR(seeds=...)``, so the resumed grid
-is bit-identical to an uninterrupted run.
+is bit-identical to an uninterrupted run.  A trace's rows reach its
+checkpoint when its one pass completes, so a worker that dies mid-pass
+leaves none of that pass behind.
 
 **Determinism.**  Per-trace grid seeds spawn from the fleet seed by
 trace position, and per-cell seeds spawn from the trace's grid seed by
@@ -35,11 +37,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from itertools import product
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.vkrr import spawn_seeds
+from ..core.vkrr import _grid_configs, spawn_seeds
 from ..workloads.stream import DEFAULT_CHUNK
 from ..workloads.trace import Trace
 from .checkpoint import CheckpointMismatch, SweepCheckpoint, _fsync_dir
@@ -160,16 +161,9 @@ class FleetSweep:
         seed: int = 0,
     ) -> "FleetSweep":
         """Cross-product grid, same cell order as ``ModelSweep.grid``."""
-        configs = [
-            SweepConfig(
-                k=int(k),
-                strategy=s,
-                sampling_rate=r,
-                correction=correction,
-                track_sizes=track_sizes,
-            )
-            for k, s, r in product(ks, strategies, sampling_rates)
-        ]
+        configs = _grid_configs(
+            ks, strategies, sampling_rates, correction, track_sizes
+        )
         return cls(configs, seed=seed)
 
     def __len__(self) -> int:

@@ -52,20 +52,18 @@ class StreamingTracePlan:
       most twice its size, so each run is more than twice the next, there
       are O(log U) runs for U distinct keys, and a key takes part in
       O(log U) merges: a chunk does not rewrite all U keys, as a single
-      sorted array would for every chunk that brings a new key.  Id *values*
-      differ from a whole-trace :func:`~repro.kernels.prep.factorize_keys`
-      (sorted-table order) but the key<->id bijection is equivalent, which
-      is all the SoA stacks need (distances depend on stack positions, not
-      id values — see
-      :meth:`~repro.stack.soa.SoAKRRStack.access_many_interned`).
+      sorted array would for every chunk that brings a new key.  Id
+      *values* depend on the order keys arrive in, but every stack needs
+      only the key<->id bijection: distances depend on stack positions,
+      not id values (see
+      :meth:`~repro.stack.soa.SoAKRRStack.access_many_interned`), and the
+      scalar stack keeps ids as opaque key labels.
     * :meth:`chunk_hashes` — per-chunk ``splitmix64`` columns, memoized
       per hash seed *for the current chunk only* so a grid with many
       cells sharing one sampler seed hashes each chunk once.  The hash is
       stateless per key, so chunked masks select exactly the rows a
       whole-column mask would.
-    * :meth:`observe` — running request count and a chained CRC32
-      fingerprint over the chunks (chunk-layout dependent; stable for
-      replays of the same stream).
+    * :meth:`observe` — running request and chunk counts.
     """
 
     def __init__(self) -> None:
@@ -74,7 +72,6 @@ class StreamingTracePlan:
         self._n_keys = 0
         self.n_requests = 0
         self.n_chunks = 0
-        self.fingerprint = 0
         self._hash_chunk_id = -1
         self._hash_cache: Dict[int, np.ndarray] = {}
 
@@ -83,10 +80,7 @@ class StreamingTracePlan:
         return self._n_keys
 
     def observe(self, chunk: Trace) -> None:
-        """Fold one chunk into the running counters and fingerprint."""
-        crc = zlib.crc32(chunk.keys.tobytes(), self.fingerprint)
-        crc = zlib.crc32(chunk.sizes.tobytes(), crc)
-        self.fingerprint = zlib.crc32(chunk.ops.tobytes(), crc)
+        """Count one chunk (the chunk count rolls the hash memo over)."""
         self.n_requests += len(chunk)
         self.n_chunks += 1
 

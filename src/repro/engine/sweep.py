@@ -4,45 +4,43 @@ Capacity planning rarely wants a single model: "what does the MRC look
 like for K in {1, 2, 5, 10}, with and without spatial sampling?" is the
 natural question.  KRR is a stack algorithm, so one pass over a trace
 yields a whole curve, and :class:`~repro.core.vkrr.MultiKRR` extends that
-to a whole grid.  :func:`run_grid` is the engine's one grid body:
+to a whole grid: every cell, whatever its strategy or ``track_sizes``,
+consumes each chunk while it is hot, sharing the interner and the
+per-chunk hash columns.  :func:`run_grid` is the engine's one grid body:
 :class:`ModelSweep` calls it in-process for one trace, and every
 :class:`~repro.engine.fleet.FleetSweep` worker calls it once per trace.
-It streams the trace at most twice:
-
-* the cells :func:`~repro.stack.soa.soa_supports` accepts
-  (``backward``/``linear``, object granularity) run as one
-  :class:`~repro.core.vkrr.MultiKRR` pass — every cell
-  consumes each chunk while it is hot, sharing the interner and the
-  per-chunk hash columns;
-* the remaining scalar cells (``topdown``, ``track_sizes``) share one
-  more pass, one :class:`~repro.core.model.KRRModel` per cell.
+It resumes from the checkpoint, streams the trace once through one
+``MultiKRR`` pass over the missing cells, and appends their rows.
 
 Determinism: every configuration's model seed is derived up front from
 the sweep seed with :func:`~repro.core.vkrr.spawn_seeds`, by the
-configuration's grid position, and handed to its pass explicitly.  The
-split into passes, the chunk size and resume therefore cannot change any
-result: each cell is bit-identical to an independent ``KRRModel.process``
-run with its seed.
+configuration's grid position, and handed to the pass explicitly.  The
+chunk size and resume therefore cannot change any result: each cell is
+bit-identical to an independent ``KRRModel.process`` run with its seed.
 
 Resume: ``checkpoint`` names a JSON-lines
 :class:`~repro.engine.checkpoint.SweepCheckpoint` keyed on the sweep
-seed, the grid, ``max_size`` and a CRC of the trace columns.  Each pass
-appends its rows durably as soon as it completes, so a crash loses at
-most the unfinished pass, and a rerun recomputes only the grid positions
-missing from the file, on their original seeds.
+seed, the grid, ``max_size`` and a CRC of the trace columns.  The pass
+appends its rows durably once it completes, and a rerun recomputes only
+the grid positions missing from the file, on their original seeds.  A
+grid is one pass, so a crash mid-pass loses that whole pass: no row of
+it reaches the file.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from itertools import product
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.model import KRRModel
-from ..core.vkrr import MultiKRR, SweepConfig, SweepResult, spawn_seeds
-from ..stack.soa import soa_supports
-from ..workloads.stream import DEFAULT_CHUNK, TraceStream, open_trace_stream
+from ..core.vkrr import (
+    MultiKRR,
+    SweepConfig,
+    SweepResult,
+    _grid_configs,
+    spawn_seeds,
+)
+from ..workloads.stream import DEFAULT_CHUNK, open_trace_stream
 from ..workloads.trace import Trace
 from .checkpoint import Row, SweepCheckpoint
 from .plan import trace_fingerprint
@@ -88,58 +86,6 @@ def _row(index: int, result: SweepResult) -> Row:
     return (index, result.sizes, result.miss_ratios, result.unit, stats)
 
 
-def _soa_pass(
-    stream: TraceStream,
-    configs: List[SweepConfig],
-    seeds: List[int],
-    max_size: Optional[int],
-) -> List[SweepResult]:
-    # Explicit seeds keep each cell on its grid position's stream even
-    # when only a subset of the grid is missing (resume).
-    return MultiKRR(configs, seeds=seeds).run(stream=stream, max_size=max_size)
-
-
-def _scalar_pass(
-    stream: TraceStream,
-    configs: List[SweepConfig],
-    seeds: List[int],
-    max_size: Optional[int],
-) -> List[SweepResult]:
-    models = [
-        KRRModel(
-            k=config.k,
-            strategy=config.strategy,
-            sampling_rate=config.sampling_rate,
-            correction=config.correction,
-            track_sizes=config.track_sizes,
-            seed=seed,
-        )
-        for config, seed in zip(configs, seeds)
-    ]
-    for chunk in stream:
-        sizes = chunk.sizes.tolist()
-        for model in models:
-            model.access_many(chunk.keys, sizes)
-    results = []
-    for config, seed, model in zip(configs, seeds, models):
-        if config.track_sizes:
-            curve, unit = model.byte_mrc(), "bytes"
-        else:
-            curve, unit = model.mrc(max_size=max_size), "objects"
-        stats = model.stats
-        results.append(
-            SweepResult(
-                config=config,
-                seed=seed,
-                sizes=curve.sizes,
-                miss_ratios=curve.miss_ratios,
-                unit=unit,
-                **{name: getattr(stats, name) for name in _COUNTERS},
-            )
-        )
-    return results
-
-
 def run_grid(
     source: Union[Trace, str, Path],
     configs: Sequence[SweepConfig],
@@ -155,9 +101,9 @@ def run_grid(
     :func:`~repro.workloads.stream.open_trace_stream` (``chunk_size`` and
     ``errors`` go to the readers and cannot change results).  ``seeds``
     are the per-cell model seeds by grid position.  Rows already in
-    ``checkpoint`` are reused — ``resumed`` counts them — and only the
-    missing cells are computed, each pass appending its rows durably
-    once it completes.
+    ``checkpoint`` are reused — ``resumed`` counts them — and the missing
+    cells run as one :class:`~repro.core.vkrr.MultiKRR` pass whose rows
+    are appended durably once it completes.
     """
     done: Dict[int, SweepResult] = {}
     if checkpoint is not None:
@@ -166,25 +112,15 @@ def run_grid(
     missing = [i for i in range(len(configs)) if i not in done]
     if missing:
         stream = open_trace_stream(source, chunk_size, errors)
-        soa_cells = [
-            i for i in missing
-            if soa_supports(configs[i].strategy, configs[i].track_sizes)
-        ]
-        scalar_cells = [i for i in missing if i not in soa_cells]
-        passes = ((soa_cells, _soa_pass), (scalar_cells, _scalar_pass))
-        for cells, run_pass in passes:
-            if not cells:
-                continue
-            fresh = run_pass(
-                stream,
-                [configs[i] for i in cells],
-                [seeds[i] for i in cells],
-                max_size,
-            )
-            for i, result in zip(cells, fresh):
-                results[i] = result
-                if checkpoint is not None:
-                    checkpoint.append(_row(i, result))
+        # Explicit seeds keep each cell on its grid position's stream even
+        # when only a subset of the grid is missing (resume).
+        grid = MultiKRR(
+            [configs[i] for i in missing], seeds=[seeds[i] for i in missing]
+        )
+        for i, result in zip(missing, grid.run(stream=stream, max_size=max_size)):
+            results[i] = result
+            if checkpoint is not None:
+                checkpoint.append(_row(i, result))
     return [results[i] for i in range(len(configs))], len(done)
 
 
@@ -223,16 +159,9 @@ class ModelSweep:
         seed: int = 0,
     ) -> "ModelSweep":
         """Cross-product grid over K values, strategies and sampling rates."""
-        configs = [
-            SweepConfig(
-                k=int(k),
-                strategy=s,
-                sampling_rate=r,
-                correction=correction,
-                track_sizes=track_sizes,
-            )
-            for k, s, r in product(ks, strategies, sampling_rates)
-        ]
+        configs = _grid_configs(
+            ks, strategies, sampling_rates, correction, track_sizes
+        )
         return cls(configs, seed=seed)
 
     def __len__(self) -> int:
@@ -255,9 +184,9 @@ class ModelSweep:
     ) -> List[SweepResult]:
         """Evaluate every configuration; results ordered like ``configs``.
 
-        ``checkpoint`` names a JSON-lines file: each pass's rows stream to
-        it as the pass completes, and a rerun with the same sweep and
-        trace skips the grid positions already on disk (resume).
+        ``checkpoint`` names a JSON-lines file: the pass's rows go to it
+        as the pass completes, and a rerun with the same sweep and trace
+        skips the grid positions already on disk (resume).
         """
         ckpt: Optional[SweepCheckpoint] = None
         if checkpoint is not None:

@@ -44,7 +44,10 @@ of a few percent of draws, so every draw must come from
 docs/PERFORMANCE.md).  Supported strategies: ``"backward"`` (chain walk)
 and ``"linear"`` (vectorized survival sweep); ``"topdown"`` has no
 array-friendly formulation and, like byte distances, stays on the scalar
-stack (:func:`soa_supports`).  Both stacks write one snapshot layout.
+stack.  :func:`~repro.core.model.build_stack` asks :func:`soa_supports`
+which stack a configuration gets, for a model and a grid cell alike, so
+a grid can mix both kinds of stack in its one pass.  Both stacks write
+one snapshot layout.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The fleet contract under test:
 
 * a fleet grid equals independent ``KRRModel.process`` runs with the
   spawned per-trace, per-cell seeds, for any mix of source formats and
-  cell engines;
+  of cells (SoA or scalar stack, object or byte curves);
 * an in-memory trace is identified by its columns, not only by its name
   and length;
 * resume is bit-identical at both levels — finished traces come back
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.model import KRRModel
-from repro.core.vkrr import SweepResult, spawn_seeds
+from repro.core.vkrr import SweepConfig, SweepResult, spawn_seeds
 from repro.engine.checkpoint import CheckpointMismatch
 from repro.engine.fleet import FleetSweep, fleet_sweep
 from repro.workloads.io import save_csv, save_npz
@@ -37,14 +37,16 @@ def _trace(i, n=1_500, objects=300):
 
 @pytest.fixture
 def fleet():
-    # backward cells ride the streamed MultiKRR pass, topdown cells the
-    # shared scalar pass — both worker paths stay covered.
-    return FleetSweep.grid(
+    # Every kind of cell shares each trace's one MultiKRR pass: backward
+    # cells on the SoA stack, topdown and byte (track_sizes) cells on the
+    # scalar stack.
+    grid = FleetSweep.grid(
         ks=[1, 4],
         strategies=["backward", "topdown"],
         sampling_rates=[None, 0.5],
-        seed=21,
     )
+    byte_cell = SweepConfig(k=2, sampling_rate=0.5, track_sizes=True)
+    return FleetSweep(grid.configs + [byte_cell], seed=21)
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.kernels import (
     batch_stack_distances,
-    factorize_keys,
     next_occurrence,
     prefix_leq,
     prev_occurrence,
@@ -40,13 +39,6 @@ keys_strategy = st.lists(st.integers(0, 12), min_size=0, max_size=200)
 
 
 class TestPrep:
-    def test_factorize_round_trips(self):
-        keys = np.array([7, 3, 7, 9, 3, 3], dtype=np.int64)
-        uniq, ids = factorize_keys(keys)
-        assert np.array_equal(uniq[ids], keys)
-        assert np.array_equal(uniq, [3, 7, 9])
-        assert ids.dtype == np.int64
-
     def test_prev_next_occurrence(self):
         keys = np.array([1, 2, 1, 1, 2], dtype=np.int64)
         assert np.array_equal(prev_occurrence(keys), [-1, -1, 0, 2, 1])

@@ -11,8 +11,9 @@ injected faults (``repro.engine.faults``), on the pools that use it — a
 * transient failures retry with a bounded budget, then fail loudly;
 * a pool that keeps dying degrades to serial with a warning — and the
   same bit-identical results;
-* an interrupted checkpointed ``ModelSweep`` resumes appending exactly
-  the missing grid rows, and a finished one appends nothing;
+* a checkpointed ``ModelSweep`` that dies mid-pass leaves no rows, a
+  partial checkpoint resumes appending exactly the missing grid rows,
+  and a finished one appends nothing;
 * the shared-memory segment is unlinked when the parent is SIGTERM-killed
   mid-life or exits without ``close()``.
 """
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.model import KRRModel
+from repro.core.krr import KRRStack
 from repro.engine import (
     CheckpointMismatch,
     FleetSweep,
@@ -287,9 +288,9 @@ class TestSweepFaultRecovery:
 
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
-    def test_resume_skips_completed_configs(
-        self, trace, tmp_path, monkeypatch
-    ):
+    @staticmethod
+    def _mixed_sweep(trace):
+        """Every kind of cell in one pass: SoA and scalar, objects and bytes."""
         trace = Trace(
             trace.keys,
             np.arange(len(trace)) % 97 + 1,  # byte sizes for the track_sizes cell
@@ -300,34 +301,51 @@ class TestCheckpointResume:
             strategies=["backward", "linear", "topdown"],
             sampling_rates=[None, 0.5],
         ).configs + [SweepConfig(k=2, track_sizes=True)]
-        sweep = ModelSweep(configs, seed=7)
+        return trace, ModelSweep(configs, seed=7)
+
+    def test_crash_mid_pass_keeps_no_rows(self, trace, tmp_path, monkeypatch):
+        trace, sweep = self._mixed_sweep(trace)
         clean = sweep.run(trace, max_size=150)
         ck = tmp_path / "sweep.ckpt"
 
         def crash(*args, **kwargs):
-            raise RuntimeError("killed in the scalar pass")
+            raise RuntimeError("killed mid-pass")
 
-        # The first run dies in the scalar pass, after the MultiKRR pass
-        # has appended its rows.
+        # The scalar cells run after the SoA cells have walked the chunk,
+        # so this dies in the middle of the grid's one pass.
         with monkeypatch.context() as m:
-            m.setattr(KRRModel, "access_many", crash)
-            with pytest.raises(RuntimeError, match="scalar pass"):
+            m.setattr(KRRStack, "access_many", crash)
+            with pytest.raises(RuntimeError, match="mid-pass"):
                 sweep.run(trace, max_size=150, checkpoint=ck)
-        before = ck.read_bytes()
-        soa = [
+        # Rows (and the header with them) reach the file only once the
+        # pass completes.
+        assert not ck.exists()
+        _assert_same_grid(clean, sweep.run(trace, max_size=150, checkpoint=ck))
+        assert _row_indices(ck.read_bytes()) == list(range(len(sweep)))
+
+    def test_resume_skips_completed_configs(self, trace, tmp_path):
+        trace, sweep = self._mixed_sweep(trace)
+        ck = tmp_path / "sweep.ckpt"
+        clean = sweep.run(trace, max_size=150, checkpoint=ck)
+        header, *lines = ck.read_bytes().splitlines(keepends=True)
+        rows = dict(zip(_row_indices(b"".join(lines)), lines))
+        # Keep the header and the object-level SoA rows: what a sweep that
+        # ran its SoA cells before its scalar ones left on disk.
+        kept = [
             i
-            for i, c in enumerate(configs)
+            for i, c in enumerate(sweep.configs)
             if c.strategy != "topdown" and not c.track_sizes
         ]
-        assert _row_indices(before) == soa
+        missing = [i for i in range(len(sweep)) if i not in kept]
+        before = header + b"".join(rows[i] for i in kept)
+        ck.write_bytes(before)
 
         results = sweep.run(trace, max_size=150, checkpoint=ck)
         after = ck.read_bytes()
         assert after.startswith(before)
-        appended = _row_indices(after[len(before):])
-        assert sorted(appended) == [
-            i for i in range(len(configs)) if i not in soa
-        ]
+        appended = after[len(before):].splitlines(keepends=True)
+        assert _row_indices(b"".join(appended)) == missing
+        assert appended == [rows[i] for i in missing]  # byte for byte
         _assert_same_grid(clean, results)
 
     def test_finished_checkpoint_runs_nothing(self, trace, tmp_path):

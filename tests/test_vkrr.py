@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.model import KRRModel
 from repro.core.vkrr import MultiKRR, SweepConfig, spawn_seeds
 from repro.engine.sweep import ModelSweep
+from repro.workloads.stream import iter_chunks
 from repro.workloads.trace import Trace
 
 
@@ -90,6 +91,69 @@ class TestGridIdentity:
                 assert np.array_equal(row.miss_ratios, curve.miss_ratios)
                 assert row.swap_positions == model.stats.swap_positions
 
+    def test_mixed_grid_matches_independent_models(self):
+        """Scalar cells (topdown, track_sizes) ride the one pass beside the
+        SoA cells, and every row equals a standalone KRRModel.process run
+        with its seed, in memory at any chunk size and streamed from a
+        one-shot generator (the pass iterates its source once)."""
+        rng = np.random.default_rng(4)
+        trace = Trace(
+            rng.integers(0, 90, size=700),
+            rng.integers(1, 5_000, size=700),
+            name="mixed",
+        )
+        rates = [None, 0.5, 1.0]
+        configs = MultiKRR.grid(
+            [1, 4], strategies=["backward", "linear", "topdown"], sampling_rates=rates
+        ).configs + [
+            SweepConfig(k=k, strategy=s, sampling_rate=r, track_sizes=True)
+            for k, s in ((2, "backward"), (3, "topdown"))
+            for r in rates
+        ]
+        seeds = spawn_seeds(len(configs), 17)
+        reference = []
+        for cfg, seed in zip(configs, seeds):
+            model = KRRModel(
+                k=cfg.k,
+                strategy=cfg.strategy,
+                sampling_rate=cfg.sampling_rate,
+                correction=cfg.correction,
+                track_sizes=cfg.track_sizes,
+                seed=seed,
+            )
+            model.process(trace)
+            if cfg.track_sizes:
+                reference.append((model.byte_mrc(), "bytes", model.stats))
+            else:
+                reference.append((model.mrc(), "objects", model.stats))
+        runs = {
+            f"chunk_size={chunk}": MultiKRR(configs, seed=17).run(
+                trace, chunk_size=chunk
+            )
+            for chunk in (1, 37, 701)
+        }
+        one_shot = (chunk for chunk in iter_chunks(trace, 53))
+        runs["one-shot stream"] = MultiKRR(configs, seed=17).run(stream=one_shot)
+        for feed, rows in runs.items():
+            assert len(rows) == len(configs), feed
+            for cfg, seed, row, (curve, unit, stats) in zip(
+                configs, seeds, rows, reference
+            ):
+                where = (feed, cfg.label(), cfg.track_sizes)
+                assert row.config == cfg and row.seed == seed, where
+                assert row.unit == unit, where
+                assert row.sizes.dtype == curve.sizes.dtype, where
+                assert np.array_equal(row.sizes, curve.sizes), where
+                assert np.array_equal(row.miss_ratios, curve.miss_ratios), where
+                for name in (
+                    "requests_seen",
+                    "requests_sampled",
+                    "cold_misses",
+                    "stack_updates",
+                    "swap_positions",
+                ):
+                    assert getattr(row, name) == getattr(stats, name), where
+
     def test_chunk_size_cannot_change_results(self):
         trace = make_trace(seed=9)
         grid = MultiKRR.grid([3], sampling_rates=[None, 0.2], seed=1)
@@ -114,12 +178,6 @@ class TestValidation:
         rows = MultiKRR(cfgs, seed=3).run(trace)
         assert rows[0].config is cfgs[0]
         assert rows[1].requests_sampled < rows[1].requests_seen
-
-    def test_rejects_topdown_and_track_sizes(self):
-        with pytest.raises(ValueError):
-            MultiKRR([SweepConfig(strategy="topdown")])
-        with pytest.raises(ValueError):
-            MultiKRR([SweepConfig(track_sizes=True)])
 
     def test_rejects_empty_grid_and_bad_chunk(self):
         with pytest.raises(ValueError):
