@@ -18,9 +18,11 @@ Measures, on a sharded (``save_chunked``) zipf trace whose total size is
    directory; its output grids must be byte-identical to an
    uninterrupted run's.
 4. **CSV decode** — one ``.csv.gz`` trace (zipf keys, mixed sizes and
-   ops) streamed through ``iter_csv`` (vectorized block decoder) and
-   through the row parser alone, interleaved, best of three each: the
-   chunks must be bit-identical and the block decoder >= 2x faster.
+   ops) streamed through ``iter_csv`` (block decoder, gunzip on a reader
+   thread) and through the row parser alone, interleaved, best of three
+   each: the chunks must be bit-identical and the block decoder >= 2x
+   faster.  A gunzip-only read of the same file (``gunzip_s``) shows the
+   stage the reader thread overlaps with decoding.
 
 Any violation makes the process exit nonzero (CI perf gate).  Writes
 machine-readable results to ``BENCH_fleet.json`` at the repo root plus a
@@ -131,7 +133,11 @@ def bench_csv_decode(workdir, n_requests, n_objects, chunk_size, repeats=3):
 
     ``native_decoder`` records whether clean blocks went through the
     kernel's ``csv_decode_block``; without it both passes parse rows.
+    ``gunzip_s`` is the file read in 128 KiB blocks and nothing else:
+    the stage ``iter_csv``'s reader thread runs beside the decoder.
     """
+    import gzip
+
     from repro.stack._native import load_csv_decoder
     from repro.workloads.io import save_csv
     from repro.workloads.stream import _csv_chunks, iter_csv
@@ -154,16 +160,21 @@ def bench_csv_decode(workdir, n_requests, n_objects, chunk_size, repeats=3):
     def row_pass():
         return _csv_chunks(path, chunk_size, "strict", blocks=False)
 
+    def gunzip_pass():
+        with gzip.open(path, "rb") as raw:
+            yield from iter(lambda: raw.read(1 << 17), b"")
+
     def timed(make):
         t0 = time.perf_counter()
         for _ in make():
             pass
         return time.perf_counter() - t0
 
-    block_s, row_s = [], []
-    for _ in range(repeats):  # interleaved: a slow phase hits both
+    block_s, row_s, gunzip_s = [], [], []
+    for _ in range(repeats):  # interleaved: a slow phase hits all three
         block_s.append(timed(block_pass))
         row_s.append(timed(row_pass))
+        gunzip_s.append(timed(gunzip_pass))
     identical = True
     n_chunks = 0
     for a, b in zip(block_pass(), row_pass()):
@@ -181,6 +192,7 @@ def bench_csv_decode(workdir, n_requests, n_objects, chunk_size, repeats=3):
         "requests": n_requests,
         "chunk_size": chunk_size,
         "file_bytes": path.stat().st_size,
+        "gunzip_s": round(min(gunzip_s), 4),
         "block_s": round(min(block_s), 4),
         "row_parser_s": round(min(row_s), 4),
         "block_requests_per_s": round(n_requests / min(block_s)),
@@ -481,6 +493,7 @@ def main(argv=None):
         "",
         f"CSV decode ({decode['requests']} requests, .csv.gz, "
         f"{decode['chunk_size']}-row chunks, best of 3):",
+        f"  gunzip only {decode['gunzip_s']:8.2f}s",
         f"  row parser  {decode['row_parser_s']:8.2f}s  "
         f"{decode['row_parser_requests_per_s']:>10,} req/s",
         f"  blocks      {decode['block_s']:8.2f}s  "

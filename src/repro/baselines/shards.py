@@ -246,7 +246,6 @@ class FixedSizeShards:
         check_positive("s_max", s_max)
         self._stack = TreeLRUStack()
         self._hist = DistanceHistogram()
-        self._raw: list[tuple[int, float]] = []  # (distance, rate at record)
         self._sampler = FixedSizeSpatialSampler(s_max, seed=seed)
         self.requests_seen = 0
         self.requests_sampled = 0
@@ -261,7 +260,14 @@ class FixedSizeShards:
             return
         self.requests_sampled += 1
         dist, _ = self._stack.access(key, size)
-        self._raw.append((dist if dist > 0 else 0, self._sampler.rate))
+        self._record(dist)
+
+    def _record(self, dist: int) -> None:
+        """Record a distance scaled by the rate in effect right now."""
+        if dist <= 0:
+            self._hist.record_cold()
+        else:
+            self._hist.record(max(1, int(round(dist / self._sampler.rate))))
 
     def process(self, trace: "Trace | Iterable[Trace]") -> "FixedSizeShards":
         """Feed a whole trace, hashing the key column in one batch pass.
@@ -287,21 +293,15 @@ class FixedSizeShards:
         hashes = hashed.tolist()
         sampler = self._sampler
         stack = self._stack
-        raw = self._raw
+        record = self._record
         for key, size, h in zip(keys, sizes, hashes):
             self.requests_seen += 1
             if not sampler.offer_hashed(key, h):
                 continue
             self.requests_sampled += 1
             dist, _ = stack.access(key, size)
-            raw.append((dist if dist > 0 else 0, sampler.rate))
+            record(dist)
         return self
 
     def mrc(self, max_size: int | None = None, label: str = "SHARDS-smax") -> MissRatioCurve:
-        hist = DistanceHistogram()
-        for dist, rate in self._raw:
-            if dist <= 0:
-                hist.record_cold()
-            else:
-                hist.record(max(1, int(round(dist / rate))))
-        return from_distance_histogram(hist, max_size=max_size, label=label)
+        return from_distance_histogram(self._hist, max_size=max_size, label=label)

@@ -4,16 +4,18 @@ The fixed-rate model's memory grows with the workload's sampled working
 set.  SHARDS's ``s_max`` mode caps it: track at most ``s_max`` distinct
 objects; when a new object would exceed the cap, eject the tracked object
 with the largest key hash and lower the threshold below it.  Ejected
-objects leave the KRR stack (``KRRStack.remove``), and every recorded
-distance is rescaled by the sampling rate *in effect when it was measured*.
+objects leave the KRR stack (``KRRStack.remove``), and every distance is
+rescaled by the sampling rate *in effect when it was measured* and
+recorded into the histograms right then.
 
-This gives a hard O(s_max) memory bound for indefinite online operation —
-the deployment mode §5.6's space numbers assume.
+So memory does not grow with the request count — the deployment mode
+§5.6's space numbers assume: the stack holds at most ``s_max`` objects,
+and the histograms grow only with the largest scaled distance.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from .._util import RngLike, check_positive, check_sampling_size, ensure_rng
 from ..mrc.curve import MissRatioCurve
@@ -30,7 +32,7 @@ __all__ = [
 
 
 class FixedSizeKRRModel:
-    """One-pass K-LRU MRC model with an O(s_max) memory bound.
+    """One-pass K-LRU MRC model that tracks at most ``s_max`` objects.
 
     Parameters mirror :class:`~repro.core.model.KRRModel`; ``s_max`` caps
     the tracked distinct objects instead of a fixed sampling rate.
@@ -62,10 +64,10 @@ class FixedSizeKRRModel:
         self._sampler = FixedSizeSpatialSampler(
             s_max, seed=hash_seed, on_evict=self._stack.remove
         )
-        self._track_sizes = bool(track_sizes)
-        self._byte_bin = int(byte_bin)
-        # (distance, byte_distance, rate at measurement time)
-        self._raw: List[Tuple[int, float, float]] = []
+        self._hist = DistanceHistogram()
+        self._byte_hist: Optional[ByteDistanceHistogram] = (
+            ByteDistanceHistogram(bin_bytes=byte_bin) if track_sizes else None
+        )
         self.requests_seen = 0
         self.requests_sampled = 0
 
@@ -85,7 +87,15 @@ class FixedSizeKRRModel:
             return
         self.requests_sampled += 1
         dist, byte_dist = self._stack.access(key, size)
-        self._raw.append((dist, byte_dist, self._sampler.rate))
+        if dist <= 0:
+            self._hist.record_cold()
+            if self._byte_hist is not None:
+                self._byte_hist.record_cold()
+            return
+        rate = self._sampler.rate
+        self._hist.record(max(1, int(round(dist / rate))))
+        if self._byte_hist is not None:
+            self._byte_hist.record(byte_dist / rate)
 
     def process(self, trace: Trace) -> "FixedSizeKRRModel":
         keys = trace.keys
@@ -98,25 +108,15 @@ class FixedSizeKRRModel:
     def mrc(self, max_size: int | None = None, label: str | None = None) -> MissRatioCurve:
         from ..mrc.builder import from_distance_histogram
 
-        hist = DistanceHistogram()
-        for dist, _, rate in self._raw:
-            if dist <= 0:
-                hist.record_cold()
-            else:
-                hist.record(max(1, int(round(dist / rate))))
         return from_distance_histogram(
-            hist, max_size=max_size, label=label or f"KRR-smax(K={self.k})"
+            self._hist, max_size=max_size, label=label or f"KRR-smax(K={self.k})"
         )
 
     def byte_mrc(self, label: str | None = None) -> MissRatioCurve:
-        if not self._track_sizes:
+        if self._byte_hist is None:
             raise RuntimeError("byte_mrc requires track_sizes=True")
         from ..mrc.builder import from_byte_histogram
 
-        hist = ByteDistanceHistogram(bin_bytes=self._byte_bin)
-        for dist, byte_dist, rate in self._raw:
-            if dist <= 0:
-                hist.record_cold()
-            else:
-                hist.record(byte_dist / rate)
-        return from_byte_histogram(hist, label=label or f"var-KRR-smax(K={self.k})")
+        return from_byte_histogram(
+            self._byte_hist, label=label or f"var-KRR-smax(K={self.k})"
+        )

@@ -19,6 +19,11 @@ in one pass, and any other block goes row by row through
 :class:`_CsvRowReader`, the reference parser, so errors and skip counts
 do not depend on which path a row took.  Without the kernel (no C
 compiler, or ``REPRO_NATIVE=0``) every block takes the row parser.
+
+The blocks are read, and gunzipped, on a reader thread
+(:func:`_read_ahead`) that queues up to ``_READ_AHEAD`` blocks ahead of
+the decoder, so a pass holds one chunk plus four blocks: the one being
+decoded, two queued and one the thread holds while it waits for room.
 """
 
 from __future__ import annotations
@@ -29,7 +34,17 @@ import io
 import locale
 from collections import deque
 from pathlib import Path
-from typing import IO, Callable, Deque, Iterator, List, Optional, Tuple, Union
+from typing import (
+    IO,
+    Callable,
+    Deque,
+    Generator,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -46,6 +61,15 @@ _Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: Bytes read per block (then extended to the end of its last line).
 #: 64-256 KiB decode at the same speed; larger blocks only add memory.
 _BLOCK_BYTES = 1 << 17
+
+#: Blocks :func:`_read_ahead`'s thread may queue ahead of the one the
+#: caller decodes (docs/PERFORMANCE.md, "CSV decode", has the measured
+#: depths).
+_READ_AHEAD = 2
+
+#: Seconds a reader thread waits on a full queue before it looks again
+#: whether its caller has stopped.
+_PUT_WAIT_S = 0.05
 
 #: Rows formatted per write by :func:`save_csv`.
 _SAVE_ROWS = 1 << 16
@@ -206,7 +230,7 @@ class _CsvRowReader:
             return None
         return key, size, op
 
-    def rows(self, fh: IO[str]) -> Iterator[_Row]:
+    def rows(self, fh: IO[str]) -> Generator[_Row, None, None]:
         """Validated rows of an open CSV file (header consumed here)."""
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -218,29 +242,27 @@ class _CsvRowReader:
             if parsed is not None:
                 yield parsed
 
-    def blocks(self, raw: IO[bytes]) -> Iterator[Union[_Row, _Columns]]:
+    def blocks(self, raw: IO[bytes]) -> Generator[Union[_Row, _Columns], None, None]:
         """The records of :meth:`rows`, read from a binary file in blocks.
 
-        Each block of ``_BLOCK_BYTES`` (extended to a line end) that
-        :func:`_decode_block` accepts is yielded as one column triple,
-        decoded through scratch columns this reader owns.
+        The header line is read here; every later block of
+        ``_BLOCK_BYTES`` (extended to a line end) is read by
+        :func:`_read_ahead`'s thread, which queues at most
+        ``_READ_AHEAD`` blocks ahead of this generator.  Each block :func:`_decode_block`
+        accepts is yielded as one column triple, decoded through scratch
+        columns this reader owns.
         Every other block is split into lines exactly as a ``newline=""``
         text file would be and fed to one ``csv.reader`` that lives for
         the whole file, whose rows are validated and yielded one at a
         time — so a strict-mode error surfaces after the same rows as
         with :meth:`rows`.  A record the reader has not finished at the
         end of a block (a quoted field holding a line break) pulls the
-        next block in row by row too.
+        next block in row by row too.  Closing this generator stops and
+        joins the reader thread, so ``raw`` may be closed after it.
         """
         encoding = locale.getpreferredencoding(False)
         lines: Deque[str] = deque()
         scratch: List[np.ndarray] = []
-
-        def read_block() -> bytes:
-            block: bytes = raw.read(_BLOCK_BYTES)
-            if block and not block.endswith(b"\n"):
-                block += raw.readline()
-            return block
 
         def queue(block: bytes) -> None:
             lines.extend(io.StringIO(block.decode(encoding), newline=""))
@@ -249,36 +271,110 @@ class _CsvRowReader:
             while True:
                 while lines:
                     yield lines.popleft()
-                block = read_block()
+                block = next(ahead, b"")
                 if not block:
                     return
                 queue(block)
 
-        queue(raw.readline())  # the header line
-        reader = csv.reader(line_source())
-        header = next(reader, None)
-        if header is None:
-            return
-        self.bind_header(header)
-        n_fields = len(header)
-        while True:
-            while lines:
-                row = next(reader, None)
-                if row is None:
-                    return
-                parsed = self.parse(row)
-                if parsed is not None:
-                    yield parsed
-            block = read_block()
-            if not block:
+        queue(raw.readline())  # the header line, read before the thread starts
+        ahead = _read_ahead(raw)
+        try:
+            reader = csv.reader(line_source())
+            header = next(reader, None)
+            if header is None:
                 return
-            columns = _decode_block(
-                block, n_fields, self._ki, self._si, self._oi, scratch
-            )
-            if columns is None:
-                queue(block)
-            else:
-                yield columns
+            self.bind_header(header)
+            n_fields = len(header)
+            while True:
+                while lines:
+                    row = next(reader, None)
+                    if row is None:
+                        return
+                    parsed = self.parse(row)
+                    if parsed is not None:
+                        yield parsed
+                block = next(ahead, b"")
+                if not block:
+                    return
+                columns = _decode_block(
+                    block, n_fields, self._ki, self._si, self._oi, scratch
+                )
+                if columns is None:
+                    queue(block)
+                else:
+                    yield columns
+        finally:
+            ahead.close()
+
+
+def _line_blocks(raw: IO[bytes]) -> Iterator[bytes]:
+    """``raw`` in blocks of ``_BLOCK_BYTES``, each extended to a line end."""
+    while True:
+        block: bytes = raw.read(_BLOCK_BYTES)
+        if not block:
+            return
+        if not block.endswith(b"\n"):
+            block += raw.readline()
+        yield block
+
+
+def _read_ahead(raw: IO[bytes]) -> Generator[bytes, None, None]:
+    """The blocks of :func:`_line_blocks`, read on a thread of their own.
+
+    zlib inflates with the interpreter lock released, as do the native
+    decoder and the stack kernels, so gunzip overlaps the caller's
+    decode and modeling instead of preceding them.  The thread starts at
+    the first ``next()``, is the only user of ``raw`` until it ends, and
+    queues at most ``_READ_AHEAD`` blocks ahead of the caller.  A read
+    error (a truncated gzip member, a bad CRC) is raised here after every
+    block read before it, as an inline read would raise it.
+
+    However this generator ends (end of file, ``close()``, an error in
+    either thread), it stops and joins the thread before it returns, so
+    the caller may close ``raw`` right after.  Every hand-over waits in
+    slices of ``_PUT_WAIT_S`` and gives up once the caller has gone, so
+    a caller that stops early never leaves the thread blocked on a full
+    queue.  The thread is a daemon: a generator that is abandoned and
+    never closed cannot hold up interpreter exit.
+    """
+    import queue  # here, not at the top: opening a stream imports nothing
+    import threading
+
+    handoff: "queue.Queue[Union[bytes, Exception]]" = queue.Queue(_READ_AHEAD)
+    stop = threading.Event()
+
+    def put(item: Union[bytes, Exception]) -> bool:
+        while not stop.is_set():
+            try:
+                handoff.put(item, timeout=_PUT_WAIT_S)
+                return True
+            except queue.Full:
+                pass
+        return False
+
+    def read() -> None:
+        end: Union[bytes, Exception] = b""
+        try:
+            for block in _line_blocks(raw):
+                if not put(block):
+                    return
+        except Exception as exc:  # raised again by the caller, in file order
+            end = exc
+        put(end)
+
+    thread = threading.Thread(target=read, name="csv-read-ahead", daemon=True)
+    thread.start()
+    try:
+        while True:
+            item = handoff.get()
+            if isinstance(item, Exception):
+                raise item
+            if not item:
+                return
+            yield item
+    finally:
+        stop.set()
+        thread.join()
 
 
 def load_csv(

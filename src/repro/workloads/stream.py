@@ -12,7 +12,8 @@ Three sources are provided:
 
 ``iter_csv``
     True single-pass streaming over ``.csv`` / ``.csv.gz`` — peak memory
-    is one chunk regardless of file length.
+    is one chunk plus four read blocks regardless of file length; a
+    reader thread gunzips ahead of decoding.
 
 ``iter_npz``
     Chunked slices of an NPZ trace.  NPZ members decompress whole, so
@@ -30,19 +31,20 @@ Three sources are provided:
 
 :func:`open_trace_stream` dispatches any of the above (or an in-memory
 trace) by inspecting the source, and always returns a *re-iterable*
-stream so multi-pass consumers (e.g. a sweep running scalar cells after
-SoA cells) can replay it.
+stream so multi-pass consumers can replay it.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
+from contextlib import closing
 from pathlib import Path
 from typing import (
     IO,
     Any,
     Callable,
+    Generator,
     Iterable,
     Iterator,
     List,
@@ -126,13 +128,16 @@ def iter_csv(
 ) -> Iterator[Trace]:
     """Stream a CSV trace (``.csv`` or ``.csv.gz``) in bounded chunks.
 
-    Single pass, one open file handle, peak memory of one chunk plus one
-    decode block — the file never fully materializes.  Blocks of clean
-    lines decode in one native kernel call each; any block the kernel
-    refuses, and every block on a host without the kernel, is parsed row
-    by row (see :mod:`repro.workloads.io`), so the chunks, errors and
-    skip counts are those of the row parser.  Row validation
-    and ``errors`` semantics are shared with
+    Single pass, one open file handle, peak memory of one chunk plus four
+    blocks of about 128 KiB — the one being decoded, two a reader thread
+    has gunzipped ahead and one it holds while it waits for room — so the
+    file never fully materializes.  The thread reads and gunzips only,
+    and it is joined before the file closes, however the stream ends.
+    Blocks of clean lines decode in one native kernel call each; any
+    block the kernel refuses, and every block on a host without the
+    kernel, is parsed row by row (see :mod:`repro.workloads.io`), so the
+    chunks, errors and skip counts are those of the row parser.  Row
+    validation and ``errors`` semantics are shared with
     :func:`repro.workloads.io.load_csv`; with ``errors="skip"`` each
     chunk's ``skipped_rows`` counts the rows dropped while filling *that*
     chunk (their sum equals the whole-file count reported by ``load_csv``).
@@ -192,14 +197,16 @@ def _csv_chunks(
         return chunk
 
     source: IO[Any]
-    records: Iterator[Union[_Row, _Columns]]
+    records: Generator[Union[_Row, _Columns], None, None]
     if blocks:
         source = _open_binary(path)
         records = parser.blocks(source)
     else:
         source = open_text(path, "rt")
         records = parser.rows(source)
-    with source:
+    # ``closing`` exits first: the block reader's thread is joined before
+    # the file closes, even when this generator is closed early.
+    with source, closing(records):
         for record in records:
             if isinstance(record[0], np.ndarray):
                 seal_rows()

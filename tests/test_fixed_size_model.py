@@ -1,8 +1,11 @@
 """Tests for the bounded-memory (s_max) KRR model and KRRStack.remove."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.baselines.shards import FixedSizeShards
 from repro.core import FixedSizeKRRModel
 from repro.core.krr import KRRStack
 from repro.mrc import mean_absolute_error
@@ -109,3 +112,36 @@ class TestFixedSizeKRRModel:
             FixedSizeKRRModel(k=0)
         with pytest.raises(ValueError):
             FixedSizeKRRModel(s_max=0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda s_max: FixedSizeKRRModel(k=4, s_max=s_max, track_sizes=True, seed=1),
+        lambda s_max: FixedSizeShards(s_max=s_max, seed=2),
+    ],
+    ids=["krr-bytes", "shards"],
+)
+def test_memory_stays_flat_as_sampled_requests_grow(make):
+    """Distances go into the histograms as they are measured: from 10x to
+    100x ``s_max`` sampled requests over a fixed key set, traced memory
+    must not grow with the request count.  (``FixedSizeShards``'s
+    ``TreeLRUStack`` still adds 16 B a sampled request, about 128 KiB
+    here: inside the bound at this size.)"""
+    s_max = 64
+    keys = np.random.default_rng(0).integers(0, 200, 100_000).tolist()
+    model = make(s_max)
+    fed = iter(keys)
+
+    def feed_until(sampled: int) -> int:
+        while model.requests_sampled < sampled:
+            model.access(next(fed))
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        at_10x = feed_until(10 * s_max)
+        at_100x = feed_until(100 * s_max)
+    finally:
+        tracemalloc.stop()
+    assert at_100x - at_10x < 256 * 1024

@@ -406,6 +406,121 @@ def test_save_csv_matches_csv_writer(tmp_path):
     assert gzip.decompress((tmp_path / "t.csv.gz").read_bytes()) == expected_bytes
 
 
+# ----------------------------------------------------------------------
+# the reader thread: gunzip runs ahead of decode, and never outlives it
+# ----------------------------------------------------------------------
+def _bad_first_block_file(path, n_rows=20_000):
+    """A strict-mode row error in the first block of a many-block file."""
+    rows = "".join(f"{i * 7},{i % 9 + 1},get\n" for i in range(n_rows))
+    path.write_bytes(("key,size,op\n1,1,get\nx,1,get\n" + rows).encode())
+
+
+def _slow_first_parse(monkeypatch):
+    """Hold the first parsed row long enough for the reader thread to fill
+    its queue and wait on it, as it does behind a slow consumer."""
+    import time
+
+    import repro.workloads.io as io_mod
+
+    parse = io_mod._CsvRowReader.parse
+    calls = []
+
+    def slow(self, row):
+        if not calls:
+            time.sleep(0.2)
+        calls.append(row)
+        return parse(self, row)
+
+    monkeypatch.setattr(io_mod._CsvRowReader, "parse", slow)
+
+
+def test_reader_thread_ends_before_the_file_closes(tmp_path, monkeypatch):
+    """However a stream ends — a full pass, an early ``close()``, the loop
+    consuming its chunks raising, a strict-mode row error while the
+    reader waits on a full queue — its reader thread has ended when the
+    file closes, and no thread is left behind."""
+    import threading
+
+    import repro.workloads.io as io_mod
+    import repro.workloads.stream as stream_mod
+
+    start = threading.active_count()
+    threads_at_close = []
+    open_binary = stream_mod._open_binary
+
+    def recording_open(path):
+        raw = open_binary(path)
+        close = raw.close
+
+        def recording_close():
+            threads_at_close.append(threading.active_count())
+            close()
+
+        raw.close = recording_close
+        return raw
+
+    monkeypatch.setattr(stream_mod, "_open_binary", recording_open)
+    monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 1 << 10)
+    path = tmp_path / "t.csv.gz"
+    save_csv(_trace(np.arange(20_000) % 501), path)
+    bad = tmp_path / "bad.csv.gz"
+    _bad_first_block_file(tmp_path / "bad.csv")
+    bad.write_bytes(gzip.compress((tmp_path / "bad.csv").read_bytes()))
+
+    assert sum(len(c) for c in iter_csv(path, chunk_size=3000)) == 20_000
+    assert threading.active_count() == start
+    gen = iter_csv(path, chunk_size=3000)
+    next(gen)
+    gen.close()
+    assert threading.active_count() == start
+    with pytest.raises(RuntimeError):
+        for _ in iter_csv(path, chunk_size=3000):
+            raise RuntimeError("the model failed")
+    assert threading.active_count() == start
+    _slow_first_parse(monkeypatch)
+    with pytest.raises(ValueError):
+        list(iter_csv(bad, chunk_size=3000))
+    assert threading.active_count() == start
+    assert threads_at_close == [start] * 4
+
+
+def _chunks_until_error(path, chunk_size):
+    chunks = []
+    with pytest.raises(Exception) as info:
+        for chunk in iter_csv(path, chunk_size=chunk_size):
+            chunks.append(chunk)
+    return chunks, info.type
+
+
+@pytest.mark.parametrize(
+    "damage, error",
+    [
+        (lambda data: data[: len(data) // 2], EOFError),  # cut mid-member
+        (lambda data: data[:-8] + bytes([data[-8] ^ 1]) + data[-7:], gzip.BadGzipFile),
+    ],
+    ids=["truncated", "bad-crc"],
+)
+def test_gzip_errors_surface_in_file_order(tmp_path, monkeypatch, damage, error):
+    """A gzip error is raised after exactly the chunks an inline read of
+    the same blocks yields: the reader thread hands errors over in order."""
+    import repro.workloads.io as io_mod
+
+    rng = np.random.default_rng(5)
+    trace = _trace(rng.integers(0, 10**9, 300_000), rng.integers(1, 10**5, 300_000))
+    clean = tmp_path / "clean.csv.gz"
+    save_csv(trace, clean)
+    path = tmp_path / "damaged.csv.gz"
+    path.write_bytes(damage(clean.read_bytes()))
+
+    got, got_error = _chunks_until_error(path, 50_000)
+    monkeypatch.setattr(io_mod, "_read_ahead", io_mod._line_blocks)
+    expected, expected_error = _chunks_until_error(path, 50_000)
+    assert got_error is expected_error is error
+    assert len(got) == len(expected) > 0
+    for a, b in zip(got, expected):
+        _assert_traces_equal(a, b)
+
+
 def test_iter_npz_matches_trace(tmp_path):
     trace = _trace(np.arange(101) % 13, np.arange(101) % 7 + 1)
     path = tmp_path / "t.npz"
