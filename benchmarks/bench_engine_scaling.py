@@ -13,9 +13,10 @@ Measures, on a 500k-request zipf trace (50k objects, alpha=0.99):
    (b) build their `KRRStack` and `DistanceHistogram` directly on the
    model's seed, and all three must produce bit-identical curves.  The
    SoA run is also split into stages: its swap count, its wall time per
-   swap, and the cost per draw of a standalone `backward_draw_block`
-   loop over as many draws as the run consumed, so walk time and draw
-   time can be told apart.
+   swap, and the cost per draw of a standalone NumPy refill loop over as
+   many draws as the run consumed, in its two stages: `random` +
+   `subtract` (which the native walk does itself for PCG64 generators)
+   and the power (which stays in NumPy).
 2. **MultiKRR one-pass grid** — the 12-config (K x sampling-rate) grid
    evaluated in one streaming pass, bit-identity-checked against an
    oracle of 12 independent scalar references (spatial filter, `KRRStack`
@@ -168,29 +169,40 @@ def bench_engines(trace, seed=1):
         "soa_speedup_vs_scalar": round(scalar_s / soa_s, 3),
         "soa_swaps": soa_swaps,
         "soa_ns_per_swap": round(soa_s / soa_swaps * 1e9, 2),
-        "draw_ns_per_draw": round(draw_ns, 2),
+        "fill_ns_per_draw": round(draw_ns["fill"], 2),
+        "pow_ns_per_draw": round(draw_ns["pow"], 2),
         "curves_identical": identical,
     }
 
 
 def _draw_ns_per_draw(k, draws, seed):
-    """Cost per draw of the SoA stack's refill, in ns, over ``draws``.
+    """Cost per draw of the two stages of a NumPy draw refill, in ns.
 
-    Every swap step but the first of each update consumes one draw, so a
-    run's draws are its swaps minus its updates; they arrive in whole
-    ``DRAW_BLOCK`` refills of one reused buffer, as in the SoA stack.
+    ``fill`` is ``random`` + ``subtract`` (``1 - U``), the half the native
+    walk draws itself, beside its swap chains, for a PCG64 generator;
+    ``pow`` is the ``**= 1/K`` that stays in NumPy.  Every swap step but
+    the first of each update consumes one draw, so a run's draws are its
+    swaps minus its updates; they arrive in whole ``DRAW_BLOCK`` refills
+    of one reused buffer, as in the SoA stack.
     """
     from repro._util import ensure_rng
-    from repro.core.updates import DRAW_BLOCK, backward_draw_block
+    from repro.core.updates import DRAW_BLOCK, backward_draw_power
 
     blocks = max(1, -(-draws // DRAW_BLOCK))
     rng = ensure_rng(seed)
     buf = np.empty(DRAW_BLOCK, dtype=np.float64)
     inv_k = 1.0 / k
-    t0 = time.perf_counter()
+    fill_s = pow_s = 0.0
     for _ in range(blocks):
-        backward_draw_block(rng, inv_k, DRAW_BLOCK, out=buf)
-    return (time.perf_counter() - t0) / (blocks * DRAW_BLOCK) * 1e9
+        t0 = time.perf_counter()
+        rng.random(out=buf)
+        np.subtract(1.0, buf, out=buf)
+        t1 = time.perf_counter()
+        backward_draw_power(buf, inv_k)
+        fill_s += t1 - t0
+        pow_s += time.perf_counter() - t1
+    per = blocks * DRAW_BLOCK / 1e9
+    return {"fill": fill_s / per, "pow": pow_s / per}
 
 
 def _per_cell_models(trace, configs, seeds):
@@ -372,7 +384,8 @@ def main(argv=None):
         f"({engines['soa_speedup_vs_legacy']:.2f}x)",
         f"  soa stages: {engines['soa_swaps']:,} swaps, "
         f"{engines['soa_ns_per_swap']:.2f} ns/swap wall, "
-        f"draw refill {engines['draw_ns_per_draw']:.2f} ns/draw",
+        f"refill fill {engines['fill_ns_per_draw']:.2f} + "
+        f"pow {engines['pow_ns_per_draw']:.2f} ns/draw",
         f"  curves identical: {engines['curves_identical']}",
         "",
         f"MultiKRR one-pass {multi['n_configs']}-config grid "
@@ -391,7 +404,7 @@ def main(argv=None):
         f"  speedup     {swept['speedup']:.2f}x  "
         f"(grids bit-identical: {swept['bit_identical_grids']})",
         "",
-        f"wrote {out}",
+        f"wrote {out.relative_to(REPO_ROOT)}",
     ]
     if failures:
         lines += ["", "PERF GATE FAILURES:"] + [f"  - {f}" for f in failures]

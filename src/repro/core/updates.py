@@ -35,6 +35,7 @@ __all__ = [
     "UpdateStrategy",
     "apply_swaps",
     "backward_draw_block",
+    "backward_draw_power",
     "make_strategy",
     "survival_table",
 ]
@@ -66,6 +67,10 @@ def backward_draw_block(
     :class:`BackwardUpdate` serves the block as Python floats and the SoA
     stack consumes the array directly, so for the same generator state
     both paths see exactly the same IEEE-754 values in the same order.
+    The native chain walk (:mod:`repro.stack.soa`) makes the first two
+    steps itself for a PCG64 generator, with the same bytes and generator
+    state, and hands the block to :func:`backward_draw_power` for the
+    third.
 
     The block is computed in place, in ``out`` (a C-contiguous
     ``float64`` array of length ``block``) when given, else in a new
@@ -88,6 +93,17 @@ def backward_draw_block(
         raise ValueError(f"out must have shape ({block},), got {out.shape}")
     rng.random(out=out)
     np.subtract(1.0, out, out=out)  # uniform on (0, 1]
+    return backward_draw_power(out, inv_k)
+
+
+def backward_draw_power(out: np.ndarray, inv_k: float) -> np.ndarray:
+    """The power step of a draw block, in place: ``out **= inv_k``.
+
+    ``out`` holds ``1 - U`` for a block of uniforms.  Every draw block
+    ends here, whichever path drew its uniforms:
+    :func:`backward_draw_block` and the native walk, which draws a PCG64
+    block's uniforms itself but leaves the power to NumPy.
+    """
     out **= inv_k
     return out
 

@@ -8,7 +8,10 @@ path at a few hundred nanoseconds per chain step.  The kernel in
 SoA arrays (10x+ end to end; see docs/PERFORMANCE.md).  Its walk export,
 ``krr_backward_lanes``, walks several stacks ("lanes") in one call and
 keeps two of their swap chains in flight, so a grid's cells overlap
-their chain latencies; a single stack is a one-lane call.
+their chain latencies; a single stack is a one-lane call.  For a lane
+on a PCG64 generator it also draws the uniforms of the lane's next
+draw block beside the chain steps, with NumPy's exact bytes, so only
+the block's power is left to NumPy.
 
 Its other export, ``csv_decode_block``, decodes a block of clean CSV
 lines into trace columns in one forward pass, or refuses the block;
@@ -21,10 +24,13 @@ A ctypes call is cheap only when its arguments are plain ints: reading
 on a 2-vCPU Xeon VM).  The caller therefore writes every lane's array
 addresses into one ``int64`` descriptor table once per chunk, and
 :meth:`BackwardKernel.bind` resolves the table and the control words
-into a zero-argument call, which each draw-block refill (one every
-4096 swap steps of a lane) re-enters.  The arrays must stay where they
-are while the bound call is in use: the SoA stacks grow their arrays
-before the table is built and fill their draw buffers in place.
+into a zero-argument call.  The call returns each time a lane's draw
+block is spent (one every 4096 swap steps of a lane); the caller
+finishes that lane's next block in place — the power alone for a
+PCG64 lane, whose uniforms the kernel drew, else a whole
+``backward_draw_block`` — and re-enters.  The arrays must stay where
+they are while the bound call is in use: the SoA stacks grow their
+arrays before the table is built and fill their draw buffers in place.
 
 This module compiles that one C file with the system compiler the first
 time it is needed and binds both exports through :mod:`ctypes`.  There
@@ -160,13 +166,17 @@ class BackwardKernel:
     def bind(self, desc: np.ndarray, ctl: np.ndarray) -> Callable[[], int]:
         """The kernel call over these lanes, with its addresses resolved.
 
-        ``desc`` is the C-contiguous ``(n_lanes, 8)`` ``int64`` lane table
-        and ``ctl`` the three ``int64`` control words, laid out as the
-        kernel header describes.  Each call of the result returns -1 when
-        every lane is done, or the index of a lane whose draw buffer must
-        be refilled (in place, with that lane's ``state[2]`` reset to 0)
-        before calling again.  Neither these arrays nor any array the
-        table points at may move or be freed while the call is in use.
+        ``desc`` is the C-contiguous ``(n_lanes, 10)`` ``int64`` lane
+        table and ``ctl`` the three ``int64`` control words, laid out as
+        the kernel header describes.  Each call of the result returns -1
+        when every lane is done, or the index of a lane whose draw buffer
+        was spent.  The kernel has already rewound that lane's cursor,
+        counted the refill and, when the lane has PCG64 words, written
+        the next block's ``1 - U`` into its buffer: the caller raises the
+        buffer to ``1/K`` in place (without PCG64 words, refills it with
+        ``backward_draw_block``) before calling again.  Neither these
+        arrays nor any array the table points at may move or be freed
+        while the call is in use.
         """
         return functools.partial(
             self._fn, desc.shape[0], desc.ctypes.data, ctl.ctypes.data

@@ -11,12 +11,27 @@
  * `y = t < v ? t : t - 1`, the zero-based form of
  * repro.core.updates.BackwardUpdate.swap_positions' `ceil(u * (i - 1))` —
  * so for the same draw buffer the kernel is draw-for-draw and
- * slot-for-slot identical to the scalar Python oracle (KRRStack).  The
- * draw buffers themselves are produced in Python by
- * repro.core.updates.backward_draw_block (the shared inverse-CDF block
- * transform); when a lane's buffer runs dry mid-chain the kernel
- * checkpoints every lane it holds into its `state` and returns that
- * lane's index so the caller can refill it in place and call again.
+ * slot-for-slot identical to the scalar Python oracle (KRRStack).
+ *
+ * Draws.  A draw is (1 - U)^(1/K) for a uniform U of the stack's
+ * generator, in blocks of `block` (repro.core.updates.DRAW_BLOCK), as
+ * repro.core.updates.backward_draw_block makes them: NumPy's
+ * `Generator.random`, `1.0 - u`, then NumPy's `power`.  The kernel makes
+ * the first two itself when the lane's generator is PCG64: one PCG64
+ * step (128-bit LCG, XSL-RR output) gives x, and U = (x >> 11) * 2^-53,
+ * which is what NumPy's `random` computes; both that product and
+ * `1.0 - U` are exact, so the bytes are NumPy's.  While a lane walks
+ * its current block `buf`, every swap step that consumes a draw also
+ * draws one uniform of the lane's next block into `next`, in the same
+ * loop as the chains, so the generator's latency hides behind theirs.
+ * When `buf` is spent the kernel draws what is left of the next block,
+ * copies it into `buf` and returns the lane; the caller applies only the
+ * power (`buf **= 1/K`, NumPy's SIMD `power`, which C cannot match bit
+ * for bit) and calls again.  A lane whose generator is not PCG64 has no
+ * generator words (`gen` = 0): the kernel steps a scratch state into its
+ * `next` all the same (one loop, no branch on the lane's kind) but hands
+ * back an untouched `buf`, which the caller refills with
+ * backward_draw_block.
  *
  * The swap step is a loop-carried chain: the slot `y` drawn at step n is
  * the `j` of step n + 1, so every step waits for the previous one's
@@ -33,16 +48,18 @@
  * with gcc 12 only; clang was not measured, and any compiler may still
  * if-convert the branch.  Check with `cc -O3 -S`: after `mulsd` and
  * `cvttsd2si` the loop body must show the `ucomisd` feeding only
- * `jp`/`jne` jumps around the `t - 1`, and no `setbe`, `adc` or `sbb`.
+ * `jp`/`jne` (or `jp`/`je`) jumps around the `t - 1`, and no `setbe` or
+ * `sbb`; the only `adc` is the PCG64 step's 128-bit add.
  *
  * Two chains in flight.  One chain cannot go faster than its convert,
  * multiply and truncate, but the lanes of a grid (one per MultiKRR cell)
  * have their own stacks, buffers and generators, so their chains are
  * independent.  The kernel holds two lanes at a time, one per "slot",
  * and steps both chains in the same loop so that the CPU overlaps their
- * latencies.  A slot's hot state (its `j`, buffer cursor and stack, pos
- * and buffer pointers) lives in locals so both chains stay in registers;
- * more slots spill them.  When a lane runs out of requests its slot
+ * latencies.  A slot's hot state (its `j`, buffer cursor, generator
+ * state and stack, pos and buffer pointers) lives in locals; the
+ * generator steps fill the issue slots the chains leave idle.  More
+ * slots spill more of it.  When a lane runs out of requests its slot
  * takes the next unstarted lane, in `desc` order (the caller puts the
  * heaviest lanes first).  Each lane sees only its own draws in its own
  * order, so its distances, stack and counters do not depend on which
@@ -52,7 +69,7 @@
  * everything is plain integer/double arrays so the only ABI surface is
  * the two exported functions.
  *
- * desc layout (int64 x 8 per lane; addresses are stored as integers):
+ * desc layout (int64 x 10 per lane; addresses are stored as integers):
  *   [0] kids       dense key ids, one per request (int64 *)
  *   [1] n          number of requests
  *   [2] stack      slot -> key id, top of stack at 0 (int64 *)
@@ -61,36 +78,134 @@
  *   [5] block      draw buffer length
  *   [6] distances  out: pre-update distance, -1 = cold (int64 *)
  *   [7] state      the lane's persistent cursor state (int64 *, see below)
+ *   [8] next       the next block's 1 - U, `block` long (double *)
+ *   [9] gen        the lane's PCG64 words (uint64 *, see below), 0 = the
+ *                  caller fills `buf` from another generator
  *
- * state layout (int64 x 6):
+ * state layout (int64 x 8):
  *   [0] next_i       next request index to start (or the one mid-chain)
  *   [1] n_stack      current stack depth
  *   [2] bpos         cursor into the draw buffer
  *   [3] cur_j        0 = between accesses; >0 = interrupted chain slot
  *   [4] total_swaps  cumulative swap-set size (Fig 5.4 cost proxy)
  *   [5] cur_ref      referenced key id of the interrupted chain
+ *   [6] refills      blocks handed over (BackwardUpdate's refill count)
+ *   [7] npos         uniforms of the next block drawn so far; 0 at a
+ *                    call's start, since the caller drops what a call
+ *                    drew ahead and starts `gen` where the last block
+ *                    handed over left the generator
+ *
+ * gen layout (uint64 x 6, 128-bit values as high and low words):
+ *   [0] [1]  the generator state after the last uniform drawn
+ *   [2] [3]  the generator's increment
+ *   [4] [5]  out: the state after the last block handed over, which the
+ *            caller writes back to the generator (start with [0] [1])
  *
  * ctl layout (int64 x 3): [0] and [1] the lane each slot holds (-1 =
  * none), [2] the next unstarted lane.  Start a walk with {-1, -1, 0}.
  *
  * Returns -1 when every lane is done, or the index of a lane whose draw
- * buffer is exhausted (refill that lane's buf, reset its state[2] to 0,
- * call again with the same desc and ctl).
+ * buffer was spent.  The kernel has reset that lane's bpos, counted the
+ * refill and, for a PCG64 lane, copied the next block's 1 - U into
+ * `buf`: the caller raises `buf` to 1/K (or, without `gen`, refills it
+ * with backward_draw_block) and calls again with the same desc and ctl.
  */
 
 #include <stdint.h>
+#include <string.h>
 
-enum { D_KIDS, D_N, D_STACK, D_POS, D_BUF, D_BLOCK, D_DIST, D_STATE, D_WORDS };
+enum { D_KIDS, D_N, D_STACK, D_POS, D_BUF, D_BLOCK, D_DIST, D_STATE, D_NEXT, D_GEN,
+       D_WORDS };
+enum { S_I, S_NSTACK, S_BPOS, S_J, S_SWAPS, S_REF, S_REFILLS, S_NPOS };
+enum { G_STATE, G_INC = 2, G_BLOCK = 4 };
+
+/* PCG64 as NumPy's pcg64.h steps it: state = state * M + inc (mod 2^128),
+ * then the XSL-RR output of the new state.  With no 128-bit integer type
+ * the same arithmetic runs on 64-bit halves. */
+#define PCG_MUL_HI 2549297995355413924ULL
+#define PCG_MUL_LO 4865540595714422341ULL
+
+#if defined(__SIZEOF_INT128__)
+typedef unsigned __int128 pcg128;
+
+static inline pcg128 pcg_load(const uint64_t *w)
+{
+    return (pcg128)w[0] << 64 | w[1];
+}
+
+static inline void pcg_store(uint64_t *w, pcg128 x)
+{
+    w[0] = (uint64_t)(x >> 64);
+    w[1] = (uint64_t)x;
+}
+
+static inline uint64_t pcg_next(pcg128 *s, pcg128 inc)
+{
+    pcg128 x = *s * ((pcg128)PCG_MUL_HI << 64 | PCG_MUL_LO) + inc;
+    uint64_t hi = (uint64_t)(x >> 64), lo = (uint64_t)x;
+    unsigned rot = (unsigned)(hi >> 58);
+    *s = x;
+    return (hi ^ lo) >> rot | (hi ^ lo) << (-rot & 63);
+}
+#else
+typedef struct { uint64_t hi, lo; } pcg128;
+
+static inline pcg128 pcg_load(const uint64_t *w)
+{
+    pcg128 x = {w[0], w[1]};
+    return x;
+}
+
+static inline void pcg_store(uint64_t *w, pcg128 x)
+{
+    w[0] = x.hi;
+    w[1] = x.lo;
+}
+
+/* The high 64 bits of the 128-bit product a * b. */
+static inline uint64_t mul_hi64(uint64_t a, uint64_t b)
+{
+    uint64_t a0 = a & 0xffffffffu, a1 = a >> 32;
+    uint64_t b0 = b & 0xffffffffu, b1 = b >> 32;
+    uint64_t mid = a1 * b0 + (a0 * b0 >> 32);
+    return a1 * b1 + (mid >> 32) + (((mid & 0xffffffffu) + a0 * b1) >> 32);
+}
+
+static inline uint64_t pcg_next(pcg128 *s, pcg128 inc)
+{
+    uint64_t lo = s->lo * PCG_MUL_LO;
+    uint64_t hi = mul_hi64(s->lo, PCG_MUL_LO) + s->hi * PCG_MUL_LO
+        + s->lo * PCG_MUL_HI;
+    unsigned rot;
+    lo += inc.lo;
+    hi += inc.hi + (lo < inc.lo);
+    s->hi = hi;
+    s->lo = lo;
+    rot = (unsigned)(hi >> 58);
+    return (hi ^ lo) >> rot | (hi ^ lo) << (-rot & 63);
+}
+#endif
+
+/* 1 - U for the generator's next uniform U, as NumPy's `random` and
+ * `1.0 - u` compute it (both steps exact). */
+static inline double one_minus_uniform(pcg128 *s, pcg128 inc)
+{
+    return 1.0 - (double)(pcg_next(s, inc) >> 11) * (1.0 / 9007199254740992.0);
+}
 
 struct slot {
     int64_t lane;           /* desc index, -1 = slot empty */
     int64_t j;              /* chain slot in flight, 0 = none */
     int64_t *stack, *pos;
     const double *bp, *end; /* draw cursor and buffer end */
+    double *np;             /* cursor into next: its uniforms drawn so far */
+    pcg128 g, inc;          /* generator state (scratch without gen) */
     const int64_t *kids;
     int64_t *dist, *state;
-    int64_t i, n, n_stack, swaps, ref;
-    const double *buf, *mark; /* buffer start; draws before mark are in swaps */
+    uint64_t *gen;          /* the lane's PCG64 words, NULL = caller fills */
+    int64_t i, n, n_stack, swaps, ref, refills;
+    double *buf, *next;
+    const double *mark;     /* draws before mark are counted in swaps */
 };
 
 static inline void slot_open(struct slot *x, const int64_t *desc, int64_t lane)
@@ -102,27 +217,62 @@ static inline void slot_open(struct slot *x, const int64_t *desc, int64_t lane)
     x->n = d[D_N];
     x->stack = (int64_t *)(intptr_t)d[D_STACK];
     x->pos = (int64_t *)(intptr_t)d[D_POS];
-    x->buf = (const double *)(intptr_t)d[D_BUF];
+    x->buf = (double *)(intptr_t)d[D_BUF];
     x->end = x->buf + d[D_BLOCK];
     x->dist = (int64_t *)(intptr_t)d[D_DIST];
+    x->next = (double *)(intptr_t)d[D_NEXT];
+    x->gen = (uint64_t *)(intptr_t)d[D_GEN];
     x->state = st;
-    x->i = st[0];
-    x->n_stack = st[1];
-    x->bp = x->mark = x->buf + st[2];
-    x->j = st[3];
-    x->swaps = st[4];
-    x->ref = st[5];
+    x->i = st[S_I];
+    x->n_stack = st[S_NSTACK];
+    x->bp = x->mark = x->buf + st[S_BPOS];
+    x->j = st[S_J];
+    x->swaps = st[S_SWAPS];
+    x->ref = st[S_REF];
+    x->refills = st[S_REFILLS];
+    x->np = x->next + st[S_NPOS];
+    if (x->gen) {
+        x->g = pcg_load(x->gen + G_STATE);
+        x->inc = pcg_load(x->gen + G_INC);
+    } else {
+        static const uint64_t zero[2];
+        x->g = x->inc = pcg_load(zero);
+    }
 }
 
 static inline void slot_save(const struct slot *x)
 {
     int64_t *st = x->state;
-    st[0] = x->i;
-    st[1] = x->n_stack;
-    st[2] = x->bp - x->buf;
-    st[3] = x->j;
-    st[4] = x->swaps + (x->bp - x->mark);  /* one draw per chain step */
-    st[5] = x->j > 0 ? x->ref : -1;
+    st[S_I] = x->i;
+    st[S_NSTACK] = x->n_stack;
+    st[S_BPOS] = x->bp - x->buf;
+    st[S_J] = x->j;
+    st[S_SWAPS] = x->swaps + (x->bp - x->mark);  /* one draw per chain step */
+    st[S_REF] = x->j > 0 ? x->ref : -1;
+    st[S_REFILLS] = x->refills;
+    st[S_NPOS] = x->np - x->next;
+    if (x->gen)
+        pcg_store(x->gen + G_STATE, x->g);
+}
+
+/* Hand a spent lane its next block: draw the rest of the next block's
+ * uniforms, copy them into buf and note the generator state they leave
+ * behind (without gen the caller refills buf).  The caller then applies
+ * the power before the lane walks on. */
+static inline void slot_refill(struct slot *x)
+{
+    int64_t block = x->end - x->buf;
+    if (x->gen) {
+        double *stop = x->next + block;
+        while (x->np < stop)
+            *x->np++ = one_minus_uniform(&x->g, x->inc);
+        memcpy(x->buf, x->next, (size_t)block * sizeof(double));
+        pcg_store(x->gen + G_BLOCK, x->g);
+    }
+    x->swaps += x->bp - x->mark;
+    x->bp = x->mark = x->buf;
+    x->np = x->next;
+    x->refills++;
 }
 
 /* Start the slot's requests until one needs a chain walk (x->j > 0).  A
@@ -185,9 +335,11 @@ static inline void slot_finish_chain(const struct slot *x)
     x->pos[x->ref] = 0;
 }
 
-/* Checkpoint both slots and hand the spent lane back for a refill. */
-static inline int64_t spent(const struct slot *x, const struct slot *y, int64_t *ctl)
+/* Refill the spent lane, checkpoint both slots and hand the spent lane
+ * back for its power. */
+static inline int64_t spent(struct slot *x, const struct slot *y, int64_t *ctl)
 {
+    slot_refill(x);
     slot_save(x);
     if (y->lane >= 0)
         slot_save(y);
@@ -224,32 +376,54 @@ int64_t krr_backward_lanes(
             int64_t ja = a.j;
             int64_t *sa = a.stack, *pa = a.pos;
             const double *ua = a.bp;
+            double *na = a.np;
+            pcg128 ga = a.g, ia = a.inc;
             int64_t left = a.end - ua;
             do {
                 ja = swap_step(sa, pa, *ua++, ja);
+                *na++ = one_minus_uniform(&ga, ia);
             } while (--left > 0 && ja > 0);
             a.j = ja;
             a.bp = ua;
+            a.np = na;
+            a.g = ga;
         } else {
             int64_t ja = a.j, jb;
             int64_t *sa = a.stack, *pa = a.pos, *sb, *pb;
-            const double *ua = a.bp, *ub;
-            int64_t left;
+            const double *ua, *ub;
+            double *na, *nb;
+            pcg128 ga = a.g, ia = a.inc, gb, ib;
+            int64_t left, i;
             if (b.bp >= b.end)
                 return spent(&b, &a, ctl);
             jb = b.j;
             sb = b.stack;
             pb = b.pos;
-            ub = b.bp;
-            left = a.end - ua < b.end - ub ? a.end - ua : b.end - ub;
+            gb = b.g;
+            ib = b.inc;
+            left = a.end - a.bp < b.end - b.bp ? a.end - a.bp : b.end - b.bp;
+            /* One index, counting up to 0, for both cursors and both
+             * next buffers: one add a step instead of four, since the
+             * generator steps leave few issue slots to spare. */
+            ua = a.bp + left;
+            ub = b.bp + left;
+            na = a.np + left;
+            nb = b.np + left;
+            i = -left;
             do {
-                ja = swap_step(sa, pa, *ua++, ja);
-                jb = swap_step(sb, pb, *ub++, jb);
-            } while (--left > 0 && ja > 0 && jb > 0);
+                ja = swap_step(sa, pa, ua[i], ja);
+                jb = swap_step(sb, pb, ub[i], jb);
+                na[i] = one_minus_uniform(&ga, ia);
+                nb[i] = one_minus_uniform(&gb, ib);
+            } while (++i < 0 && ja > 0 && jb > 0);
             a.j = ja;
-            a.bp = ua;
+            a.bp = ua + i;
+            a.np = na + i;
+            a.g = ga;
             b.j = jb;
-            b.bp = ub;
+            b.bp = ub + i;
+            b.np = nb + i;
+            b.g = gb;
             if (jb == 0)
                 slot_finish_chain(&b);
         }

@@ -16,17 +16,27 @@ work recommends: one flat ``int64`` array per field.
   its cells), so the hot loop never touches a Python dict or a boxed
   integer.  Every array grows on demand.
 
-``access_many`` then processes whole request chunks: the inverse-CDF
-draw blocks are produced vectorized by
-:func:`~repro.core.updates.backward_draw_block`, survival probabilities
-come from the shared :func:`~repro.core.updates.survival_table`, and the
-data-dependent chain walk runs inside the compiled kernel from
-:mod:`repro.stack._native` when a C compiler is available (pure-Python
-fallback otherwise — same draws, same results, less speed).
-:func:`walk_backward_lanes` walks several backward stacks over their own
-chunks in one kernel call, two swap chains at a time; that is how
-:class:`~repro.core.vkrr.MultiKRR` advances a grid, and a single stack's
-chunk is the one-lane case of the same call.
+``access_many`` then processes whole request chunks: survival
+probabilities come from the shared
+:func:`~repro.core.updates.survival_table`, and the data-dependent chain
+walk runs inside the compiled kernel from :mod:`repro.stack._native`
+when a C compiler is available (pure-Python fallback otherwise — same
+draws, same results, less speed).  :func:`walk_backward_lanes` walks
+several backward stacks over their own chunks in one kernel call, two
+swap chains at a time; that is how :class:`~repro.core.vkrr.MultiKRR`
+advances a grid, and a single stack's chunk is the one-lane case of the
+same call.
+
+Inverse-CDF draws come in blocks of ``(1 - U)^(1/K)``.  The Python walk
+takes each block from :func:`~repro.core.updates.backward_draw_block`.
+The kernel draws a PCG64 stack's uniforms itself, one for the next
+block beside each swap step of the current one, and hands the block
+back for :func:`~repro.core.updates.backward_draw_power`, NumPy's
+``**=``; a stack on any other bit generator gets its blocks from
+:func:`~repro.core.updates.backward_draw_block` as in the Python walk.
+After every walk the generator stands where the last block handed over
+left it: uniforms a walk drew past that are dropped and drawn again by
+the next walk.
 
 **Seeding contract.**  For any ``(k, strategy, seed)`` this stack
 consumes the generator's stream in exactly the refill pattern the scalar
@@ -36,12 +46,14 @@ arithmetic, so distances, final stack order and swap counters are
 bit-identical to :class:`~repro.core.krr.KRRStack` — property-tested in
 ``tests/test_soa_engine.py``.  Each stack refills only its own buffer
 from its own generator, so walking it beside other lanes changes
-nothing.  Bit identity holds per host class (CPU SIMD level plus NumPy
-build), not across hosts: NumPy's vectorized ``u ** (1/K)`` differs
-from libm ``pow``, and from NumPy's own scalar ``**``, in the last bit
-of a few percent of draws, so every draw must come from
-:func:`~repro.core.updates.backward_draw_block` (see
-docs/PERFORMANCE.md).  Supported strategies: ``"backward"`` (chain walk)
+nothing; lanes walked together must therefore not share a generator.
+Bit identity holds per host class (CPU SIMD level plus NumPy build),
+not across hosts: NumPy's vectorized ``u ** (1/K)`` differs from libm
+``pow``, and from NumPy's own scalar ``**``, in the last bit of a few
+percent of draws, so every draw's power must come from
+:func:`~repro.core.updates.backward_draw_power` (see
+docs/PERFORMANCE.md).  The uniforms carry no such caveat: the kernel's
+PCG64 step and ``1 - U`` are exact integer and power-of-two arithmetic.  Supported strategies: ``"backward"`` (chain walk)
 and ``"linear"`` (vectorized survival sweep); ``"topdown"`` has no
 array-friendly formulation and, like byte distances, stays on the scalar
 stack.  :func:`~repro.core.model.build_stack` asks :func:`soa_supports`
@@ -52,6 +64,7 @@ one snapshot layout.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -60,6 +73,7 @@ from .._util import RngLike, ensure_rng
 from ..core.updates import (
     DRAW_BLOCK,
     backward_draw_block,
+    backward_draw_power,
     survival_table,
 )
 from ._native import BackwardKernel, load_backward_kernel
@@ -76,7 +90,12 @@ __all__ = [
 #: Update strategies with an SoA implementation.
 SOA_STRATEGIES = ("backward", "linear")
 
-_STATE_LEN = 6  # see _soa_kernel.c: [i, n_stack, bpos, cur_j, swaps, ref]
+# See _soa_kernel.c: state is [i, n_stack, bpos, cur_j, swaps, ref,
+# refills, npos]; gen is a PCG64 state, increment and block-end state as
+# (high, low) word pairs.
+_STATE_LEN = 8
+_GEN_LEN = 6
+_WORD = (1 << 64) - 1
 
 #: Starting length of a stack's slot and id arrays (doubled on demand).
 _INITIAL_CAPACITY = 1024
@@ -160,7 +179,10 @@ class SoAKRRStack:
         # The backward buffer is one array for the stack's lifetime,
         # refilled in place, so the kernel call bound over it per chunk
         # stays valid across refills; it starts spent (bpos == block).
+        # The kernel draws the next block's 1 - U into _next beside the
+        # chain walk; what it holds between walks is never read.
         self._buf = np.empty(DRAW_BLOCK, dtype=np.float64)  # (1-U)^(1/K)
+        self._next = np.empty(DRAW_BLOCK, dtype=np.float64)  # next 1 - U
         self._buf_list: List[float] = []                    # python mirror
         self._bpos = DRAW_BLOCK
         self._refills = -1  # counted as BackwardUpdate counts them
@@ -310,15 +332,17 @@ class SoAKRRStack:
         resulting distance sequence is bit-identical to :meth:`access_many`
         over the raw keys.  The caller owns the key<->id map; reverse
         lookups (``position_of`` etc.) are refused in this mode, as is
-        mixing with raw-key access.
+        mixing with raw-key access.  A negative id raises ``ValueError``
+        and leaves the stack as it was.
         """
         if self._ids:
             raise RuntimeError(
                 "this stack already interned keys via another access path; "
                 "mixing with streamed dense ids would corrupt the id space"
             )
-        self._external_dense = True
         kids = np.ascontiguousarray(np.asarray(kids, dtype=np.int64))
+        _check_dense(kids)
+        self._external_dense = True
         return self._access_ids(kids, sizes)
 
     def _access_ids(
@@ -543,6 +567,12 @@ class SoAKRRStack:
         return distances
 
 
+def _check_dense(kids: np.ndarray) -> None:
+    """Refuse negative dense ids: the walks index ``pos`` with them."""
+    if kids.shape[0] and int(kids.min()) < 0:
+        raise ValueError(f"dense key ids must be >= 0, got {int(kids.min())}")
+
+
 def walk_backward_lanes(
     stacks: Sequence[SoAKRRStack], kids: Sequence[np.ndarray]
 ) -> List[np.ndarray]:
@@ -553,7 +583,8 @@ def walk_backward_lanes(
     guard, and the returned ``distances[i]`` are what that call returns:
     every stack keeps its own draws, refill order and counters, so the
     result does not depend on which stacks share the call or in what
-    order they are listed.  The stacks with a kernel go through one
+    order they are listed.  Stacks must not share a generator, and ids
+    must not be negative.  The stacks with a kernel go through one
     native call that keeps two swap chains in flight; the others take
     their pure-Python walk.
     """
@@ -564,16 +595,20 @@ def walk_backward_lanes(
     if len({id(stack) for stack in stacks}) != len(stacks):
         # Two lanes on one stack would walk the same arrays at once.
         raise ValueError("walk_backward_lanes got the same stack twice")
+    if len({id(stack._rng.bit_generator) for stack in stacks}) != len(stacks):
+        # Each lane draws from its generator as if it were the only one.
+        raise ValueError("walk_backward_lanes got stacks sharing a generator")
     if any(stack._ids for stack in stacks):
         raise RuntimeError(
             "this stack already interned keys via another access path; "
             "mixing with streamed dense ids would corrupt the id space"
         )
+    kids = [np.ascontiguousarray(ids, dtype=np.int64) for ids in kids]
+    for ids in kids:
+        _check_dense(ids)
     for stack in stacks:
         stack._external_dense = True
-    return _walk_backward(
-        stacks, [np.ascontiguousarray(ids, dtype=np.int64) for ids in kids]
-    )
+    return _walk_backward(stacks, kids)
 
 
 def _walk_backward(
@@ -594,9 +629,13 @@ def _walk_backward(
     if native:
         kernel = stacks[native[0]]._kernel
         assert kernel is not None
-        lanes = _walk_lanes(
-            kernel, [stacks[i] for i in native], [kids[i] for i in native]
-        )
+        with ExitStack() as held:
+            lanes = _walk_lanes(
+                kernel,
+                [stacks[i] for i in native],
+                [kids[i] for i in native],
+                held,
+            )
         walked = dict(zip(native, lanes))
     out: List[np.ndarray] = []
     for i, (stack, ids) in enumerate(zip(stacks, kids)):
@@ -608,10 +647,30 @@ def _walk_backward(
     return out
 
 
+def _pcg64_state(
+    rng: np.random.Generator, held: ExitStack
+) -> Optional[Dict[str, Any]]:
+    """``rng``'s state when the kernel can draw its uniforms (PCG64), else
+    None.
+
+    The generator's lock is then held until ``held`` closes, so that it
+    covers the state's write-back: the kernel call releases the GIL, and
+    a draw another thread made from the generator meanwhile would be
+    overwritten.
+    """
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        return None
+    held.enter_context(bit_generator.lock)
+    state: Dict[str, Any] = bit_generator.state
+    return state
+
+
 def _walk_lanes(
     kernel: BackwardKernel,
     stacks: Sequence[SoAKRRStack],
     kids: Sequence[np.ndarray],
+    held: ExitStack,
 ) -> List[np.ndarray]:
     """One native call over every (stack, kids) lane; returns distances.
 
@@ -620,6 +679,13 @@ def _walk_lanes(
     chain slots heaviest first (``K' x requests``): the longest lane then
     starts at once and the lighter ones pass through the other slot
     beside it, instead of one heavy lane finishing alone at the end.
+
+    A PCG64 lane's state goes to the kernel, which draws its uniforms; at
+    each return for that lane the block's power is all that is left to
+    do, and at the end the generator takes the state that follows the
+    last block handed over (``has_uint32`` and ``uinteger`` kept as they
+    were); its lock joins ``held``.  Any other lane's blocks come from
+    ``backward_draw_block``.
     """
     order = sorted(
         range(len(stacks)), key=lambda i: -stacks[i].k * kids[i].shape[0]
@@ -628,14 +694,24 @@ def _walk_lanes(
     flat = np.empty(starts[-1], dtype=np.int64)  # every lane's distances
     states = np.array(
         [
-            [0, stacks[i]._n, stacks[i]._bpos, 0, stacks[i].total_swaps, -1]
+            [0, stacks[i]._n, stacks[i]._bpos, 0, stacks[i].total_swaps, -1,
+             stacks[i]._refills, 0]
             for i in order
         ],
         dtype=np.int64,
     )
+    pcg = [_pcg64_state(stacks[i]._rng, held) for i in order]
+    gens = np.zeros((len(order), _GEN_LEN), dtype=np.uint64)
+    for row, state in enumerate(pcg):
+        if state is not None:
+            at, inc = state["state"]["state"], state["state"]["inc"]
+            words = [at >> 64, at & _WORD, inc >> 64, inc & _WORD]
+            gens[row] = words + words[:2]
     flat_at = flat.ctypes.data
     state_at = states.ctypes.data
-    # One row per lane: kids, n, stack, pos, buf, block, distances, state.
+    gen_at = gens.ctypes.data
+    # One row per lane: kids, n, stack, pos, buf, block, distances, state,
+    # next, gen.
     desc = np.array(
         [
             [
@@ -647,6 +723,8 @@ def _walk_lanes(
                 stacks[i]._buf.shape[0],
                 flat_at + 8 * starts[row],
                 state_at + 8 * _STATE_LEN * row,
+                stacks[i]._next.ctypes.data,
+                0 if pcg[row] is None else gen_at + 8 * _GEN_LEN * row,
             ]
             for row, i in enumerate(order)
         ],
@@ -657,14 +735,22 @@ def _walk_lanes(
     lane = run()
     while lane >= 0:
         stack = stacks[order[lane]]
-        buf = stack._buf
-        backward_draw_block(stack._rng, stack._inv_k, buf.shape[0], out=buf)
-        stack._refills += 1
-        states[lane, 2] = 0
+        if pcg[lane] is None:
+            backward_draw_block(
+                stack._rng, stack._inv_k, stack._buf.shape[0], out=stack._buf
+            )
+        else:
+            backward_draw_power(stack._buf, stack._inv_k)
         lane = run()
     distances: Dict[int, np.ndarray] = {}
     for row, (i, state) in enumerate(zip(order, states.tolist())):
         stack = stacks[i]
         stack._n, stack._bpos, stack.total_swaps = state[1], state[2], state[4]
+        generator = pcg[row]
+        if generator is not None and state[6] != stack._refills:
+            hi, lo = gens[row, 4:].tolist()
+            generator["state"]["state"] = hi << 64 | lo
+            stack._rng.bit_generator.state = generator
+        stack._refills = state[6]
         distances[i] = flat[starts[row] : starts[row + 1]]
     return [distances[i] for i in range(len(stacks))]

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro._util import ensure_rng
 from repro.core.correction import corrected_k
 from repro.devtools.analysis.nat import parse_c_exports
 from repro.devtools.lint import lint_paths
@@ -294,20 +295,19 @@ class TestKernelUnderSanitizers:
         assert native.total_swaps == python.total_swaps
 
     @staticmethod
-    def _exact_draws(rng, inv_k, block=4096, out=None):
-        """Draw blocks where about half the values are 1.0, 0.5 or 0.25.
+    def _exact_power(out, inv_k):
+        """The draw blocks' power step, with about half the draws set to
+        1.0, 0.5 or 0.25.
 
         ``u * j`` then lands on an integer at many chain steps, so the
         kernel's rare ``y = t - 1`` branch runs (random draws reach it
-        with odds of about 1e-13 a step).  Both calling forms consume
-        ``rng`` identically, so every path sees the same blocks.
+        with odds of about 1e-13 a step).  Which draws change, and to
+        what, follows from the uniforms alone, so the native walk, the
+        Python walk and ``BackwardUpdate``, which all end their blocks
+        in this step, see the same blocks.
         """
-        u = rng.random(block)
-        exact = np.array([1.0, 0.5, 0.25])[rng.integers(0, 3, block)]
-        drawn = np.where(u < 0.5, exact, (1.0 - u) ** inv_k)
-        if out is None:
-            return drawn
-        out[:] = drawn
+        exact = np.array([1.0, 0.5, 0.25])[(out * 2.0**40).astype(np.int64) % 3]
+        out[:] = np.where(out > 0.5, exact, out**inv_k)
         return out
 
     @pytest.mark.parametrize("block", [4096, 7])
@@ -319,8 +319,8 @@ class TestKernelUnderSanitizers:
         from repro.core.krr import KRRStack
         from repro.stack.soa import SoAKRRStack
 
-        monkeypatch.setattr(updates_mod, "backward_draw_block", self._exact_draws)
-        monkeypatch.setattr(soa_mod, "backward_draw_block", self._exact_draws)
+        monkeypatch.setattr(updates_mod, "backward_draw_power", self._exact_power)
+        monkeypatch.setattr(soa_mod, "backward_draw_power", self._exact_power)
         monkeypatch.setattr(soa_mod, "DRAW_BLOCK", block)
         monkeypatch.setattr(updates_mod.BackwardUpdate, "_BLOCK", block)
         keys = np.random.default_rng(5).integers(0, 300, size=3000)
@@ -405,7 +405,7 @@ class TestKernelUnderSanitizers:
 
         if exact:
             for mod in (updates_mod, soa_mod):
-                monkeypatch.setattr(mod, "backward_draw_block", self._exact_draws)
+                monkeypatch.setattr(mod, "backward_draw_power", self._exact_power)
         monkeypatch.setattr(soa_mod, "DRAW_BLOCK", block)
         monkeypatch.setattr(updates_mod.BackwardUpdate, "_BLOCK", block)
         lanes = self._lane_streams()
@@ -430,6 +430,201 @@ class TestKernelUnderSanitizers:
             order = scalar.keys_in_stack_order()
             assert nat._stack[: len(nat)].tolist() == order
             assert py._stack[: len(py)].tolist() == order
+
+
+def _advanced(seed, steps):
+    rng = ensure_rng(seed)
+    rng.bit_generator.advance(steps)
+    return rng
+
+
+def _after_uint32_draws(seed, count):
+    rng = ensure_rng(seed)
+    rng.integers(0, 2**32, size=count, dtype=np.uint32)
+    return rng
+
+
+def _same_state(a, b):
+    """Bit-generator states equal, arrays (MT19937's key) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _generator_twin(rng):
+    """A generator of the same kind standing in the same state."""
+    twin = np.random.Generator(type(rng.bit_generator)())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+@needs_kernel
+class TestKernelDraws:
+    """The kernel draws a PCG64 lane's uniforms itself: its blocks must be
+    NumPy's bytes and leave the generator where NumPy's would, and lanes
+    on other bit generators must keep their Python-drawn blocks."""
+
+    @pytest.mark.parametrize(
+        "make_rng",
+        [
+            lambda: np.random.default_rng(0),
+            lambda: np.random.default_rng(2**63 - 1),
+            lambda: _advanced(3, 2**64 + 3),
+            lambda: _after_uint32_draws(4, 5),
+        ],
+        ids=["seed0", "seed2^63-1", "advanced", "has_uint32"],
+    )
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_blocks_and_state_equal_numpys(self, monkeypatch, make_rng, block):
+        import repro.core.updates as updates_mod
+        import repro.stack.soa as soa_mod
+        from repro.core.krr import KRRStack
+        from repro.stack.soa import SoAKRRStack
+
+        monkeypatch.setattr(soa_mod, "DRAW_BLOCK", block)
+        monkeypatch.setattr(updates_mod.BackwardUpdate, "_BLOCK", block)
+        handed = []
+
+        def record(out, inv_k):
+            handed.append(out.tobytes())
+            return updates_mod.backward_draw_power(out, inv_k)
+
+        monkeypatch.setattr(soa_mod, "backward_draw_power", record)
+        rng = make_rng()
+        numpy_rng, scalar_rng = _generator_twin(rng), _generator_twin(rng)
+        start = rng.bit_generator.state
+        stack = SoAKRRStack(5.0, rng=rng, use_native=True)
+        kids = np.random.default_rng(8).integers(0, 3000, size=6000)
+        distances = [stack.access_many_interned(c) for c in np.array_split(kids, 5)]
+        assert len(handed) >= 2
+        for got in handed:
+            assert got == (1.0 - numpy_rng.random(block)).tobytes()
+        assert rng.bit_generator.state == numpy_rng.bit_generator.state
+        assert rng.bit_generator.state["has_uint32"] == start["has_uint32"]
+        assert rng.bit_generator.state["uinteger"] == start["uinteger"]
+        scalar = KRRStack(5.0, rng=scalar_rng)
+        assert np.concatenate(distances).tolist() == scalar.access_many(
+            kids.tolist()
+        )[0]
+        assert stack.total_swaps == scalar.total_swaps
+        assert scalar_rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("block", [5, 7, 4096])
+    def test_other_bit_generators_walk_beside_pcg64_lanes(self, monkeypatch, block):
+        """Lanes on MT19937, Philox and SFC64 refill in Python inside the
+        same walk as PCG64 lanes; small blocks run every lane dry
+        mid-chain in both chain slots."""
+        import repro.core.updates as updates_mod
+        import repro.stack.soa as soa_mod
+        from repro.core.krr import KRRStack
+        from repro.stack.soa import SoAKRRStack, walk_backward_lanes
+
+        monkeypatch.setattr(soa_mod, "DRAW_BLOCK", block)
+        monkeypatch.setattr(updates_mod.BackwardUpdate, "_BLOCK", block)
+        kinds = [np.random.MT19937, np.random.PCG64, np.random.Philox,
+                 np.random.SFC64, np.random.PCG64, np.random.MT19937]
+        lanes = TestKernelUnderSanitizers._lane_streams()
+
+        def generator(c):
+            return np.random.Generator(kinds[c](60 + c))
+
+        stacks = [
+            SoAKRRStack(k, rng=generator(c), use_native=True)
+            for c, (k, _) in enumerate(lanes)
+        ]
+        walked = [[] for _ in lanes]
+        for part in range(3):
+            chunks = [np.array_split(kids, 3)[part] for _, kids in lanes]
+            for got, d in zip(walked, walk_backward_lanes(stacks, chunks)):
+                got.append(d)
+        for c, ((k, kids), stack, got) in enumerate(zip(lanes, stacks, walked)):
+            scalar_rng = generator(c)
+            scalar = KRRStack(k, rng=scalar_rng)
+            d_scalar, _ = scalar.access_many(kids.tolist())
+            assert np.concatenate(got).tolist() == d_scalar
+            assert stack.total_swaps == scalar.total_swaps
+            assert stack._stack[: len(stack)].tolist() == scalar.keys_in_stack_order()
+            assert _same_state(
+                stack._rng.bit_generator.state, scalar_rng.bit_generator.state
+            )
+
+    def test_int_seeded_lanes_draw_in_the_kernel(self, monkeypatch):
+        """``ensure_rng(int)`` gives PCG64, whose uniforms the kernel
+        draws: if NumPy's default bit generator changed, this fails
+        instead of every walk silently going back to Python refills."""
+        import repro.stack.soa as soa_mod
+        from repro.stack.soa import SoAKRRStack, walk_backward_lanes
+
+        def python_refill(*args, **kwargs):
+            raise AssertionError("an int-seeded lane refilled in Python")
+
+        monkeypatch.setattr(soa_mod, "backward_draw_block", python_refill)
+        kids = np.random.default_rng(2).integers(0, 2000, size=4000)
+        stacks = [SoAKRRStack(k, rng=seed, use_native=True)
+                  for k, seed in ((5.0, 1), (2.0, 2))]
+        walk_backward_lanes(stacks, [kids, kids[::2]])
+        stacks[0].access_many_interned(kids)
+        assert all(stack._refills >= 2 for stack in stacks)
+
+    def test_walk_holds_the_generator_lock(self, monkeypatch):
+        """The kernel call releases the GIL and the walk writes the
+        generator state back at its end, so no other thread may draw from
+        a PCG64 lane's generator in between: the walk holds its lock."""
+        import threading
+
+        import repro.core.updates as updates_mod
+        import repro.stack.soa as soa_mod
+        from repro.stack.soa import SoAKRRStack
+
+        rng = np.random.default_rng(4)
+        stack = SoAKRRStack(5.0, rng=rng, use_native=True)
+        free_elsewhere = []
+
+        def probe(out, inv_k):
+            def try_lock():
+                got = rng.bit_generator.lock.acquire(blocking=False)
+                if got:
+                    rng.bit_generator.lock.release()
+                free_elsewhere.append(got)
+
+            thread = threading.Thread(target=try_lock)
+            thread.start()
+            thread.join()
+            return updates_mod.backward_draw_power(out, inv_k)
+
+        monkeypatch.setattr(soa_mod, "backward_draw_power", probe)
+        stack.access_many_interned(np.random.default_rng(1).integers(0, 500, 2000))
+        assert free_elsewhere and not any(free_elsewhere)
+        assert rng.bit_generator.lock.acquire(blocking=False)
+        rng.bit_generator.lock.release()
+
+    def test_portable_pcg64_step_matches(self, monkeypatch, tmp_path):
+        """Without ``unsigned __int128`` the kernel steps PCG64 on 64-bit
+        halves; that build must draw the same blocks."""
+        import ctypes
+        import os
+
+        from repro.core.krr import KRRStack
+        from repro.stack import _native
+        from repro.stack.soa import SoAKRRStack, walk_backward_lanes
+
+        flags = os.environ.get("REPRO_NATIVE_CFLAGS", "")
+        monkeypatch.setenv("REPRO_NATIVE_CFLAGS", flags + " -U__SIZEOF_INT128__")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        lib_path = _native._build_library(_native._SOURCE)
+        assert lib_path is not None
+        kernel = _native.BackwardKernel(ctypes.CDLL(str(lib_path)))
+        lanes = TestKernelUnderSanitizers._lane_streams()
+        stacks = [SoAKRRStack(k, rng=70 + c, use_native=True)
+                  for c, (k, _) in enumerate(lanes)]
+        for stack in stacks:
+            stack._kernel = kernel
+        walked = walk_backward_lanes(stacks, [kids for _, kids in lanes])
+        for c, ((k, kids), stack, got) in enumerate(zip(lanes, stacks, walked)):
+            scalar_rng = np.random.default_rng(70 + c)
+            scalar = KRRStack(k, rng=scalar_rng)
+            assert got.tolist() == scalar.access_many(kids.tolist())[0]
+            assert stack._rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 _CLEAN_LINES = ["7,31,get", "406,5,set", "1,1002,delete"]

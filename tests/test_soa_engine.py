@@ -213,6 +213,64 @@ class TestStackApi:
         with pytest.raises(RuntimeError):
             s.position_of(1)
 
+    @pytest.mark.parametrize(
+        "use_native",
+        [
+            False,
+            pytest.param(True, marks=pytest.mark.skipif(
+                not native_kernel_active(), reason="no C compiler available"
+            )),
+        ],
+    )
+    @pytest.mark.parametrize("strategy", SOA_STRATEGIES)
+    def test_negative_ids_are_refused_and_change_nothing(self, use_native, strategy):
+        """A negative dense id would index ``pos`` from its end (the
+        kernel reads before the array); both entry points refuse it before
+        they mark, grow or walk anything."""
+        fresh = SoAKRRStack(5.0, strategy=strategy, rng=0, use_native=use_native)
+        walked = SoAKRRStack(5.0, strategy=strategy, rng=1, use_native=use_native)
+        walked.access_many_interned(np.array([0, 4, 2, 4, 9, 0]))
+
+        def snapshot(s):
+            return (
+                s._stack[: len(s)].tolist(), s._pos.tolist(), s.updates,
+                s.total_swaps, s._bpos, s._ubpos, s._external_dense,
+                s._rng.bit_generator.state,
+            )
+
+        bad = [np.array([3, 7, -2, 3, -2, 7]), np.array([1, -5_000_000, 1])]
+        for stack in (fresh, walked):
+            before = snapshot(stack)
+            for kids in bad:
+                with pytest.raises(ValueError):
+                    stack.access_many_interned(kids)
+                if strategy == "backward":
+                    with pytest.raises(ValueError):
+                        walk_backward_lanes([stack], [kids])
+            assert snapshot(stack) == before
+        fresh.access_many([5, 6])  # still free to intern raw keys
+
+    def test_lanes_walk_refuses_a_shared_generator(self):
+        """Each lane draws from its generator as if it were the only one,
+        so two lanes on one generator (or one bit generator under two
+        ``Generator`` objects) would take the same draws."""
+        kids = np.asarray([1, 2, 1], dtype=np.int64)
+        shared = np.random.default_rng(1)
+        bit_generator = np.random.PCG64(2)
+        pairs = [
+            (SoAKRRStack(5, rng=shared), SoAKRRStack(2, rng=shared)),
+            (
+                SoAKRRStack(5, rng=np.random.Generator(bit_generator)),
+                SoAKRRStack(2, rng=np.random.Generator(bit_generator)),
+            ),
+        ]
+        for a, b in pairs:
+            with pytest.raises(ValueError):
+                walk_backward_lanes([a, b], [kids, kids])
+            assert a.updates == b.updates == 0
+        walk_backward_lanes([pairs[0][0]], [kids])  # one at a time is fine
+        assert pairs[0][0].updates == 3
+
     def test_use_native_false_disables_kernel(self):
         s = SoAKRRStack(4, rng=0, use_native=False)
         assert not s.uses_native_kernel
