@@ -327,7 +327,7 @@ def main(argv=None):
         f"({payload['threaded']['rps']:,} req/s aggregate):",
         *_acc_lines(acc_threaded),
         "",
-        f"wrote {out}",
+        f"wrote {out.relative_to(REPO_ROOT)}",
     ]
     if failures:
         lines += ["", "GATE FAILURES:"] + [f"  - {f}" for f in failures]

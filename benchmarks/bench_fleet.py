@@ -502,7 +502,7 @@ def main(argv=None):
         f"  identical: {decode['chunks_identical']}, "
         f"native decoder: {decode['native_decoder']}",
         "",
-        f"wrote {out}",
+        f"wrote {out.relative_to(REPO_ROOT)}",
     ]
     if failures:
         lines += ["", "PERF GATE FAILURES:"] + [f"  - {f}" for f in failures]

@@ -170,7 +170,7 @@ def main(argv=None):
         f"  speedup             {sampled['speedup']:.2f}x  "
         f"(curves identical: {sampled['curves_identical']})",
         "",
-        f"wrote {out}",
+        f"wrote {out.relative_to(REPO_ROOT)}",
     ]
     if failures:
         lines += ["", "GATE FAILURES:"] + [f"  - {f}" for f in failures]

@@ -24,12 +24,10 @@ from .updates import (
     DRAW_BLOCK,
     BackwardUpdate,
     LinearUpdate,
-    SurvivalTable,
     TopDownUpdate,
     apply_swaps,
     backward_draw_block,
     make_strategy,
-    survival_table,
 )
 from .vkrr import MultiKRR, SweepConfig, SweepResult, spawn_seeds
 
@@ -47,7 +45,6 @@ __all__ = [
     "ModelStats",
     "MultiKRR",
     "SizeArray",
-    "SurvivalTable",
     "SweepConfig",
     "SweepResult",
     "TTLAwareKRRModel",
@@ -68,7 +65,6 @@ __all__ = [
     "no_swap_probability_interval",
     "spawn_seeds",
     "stay_probability",
-    "survival_table",
     "swap_probability",
     "uncorrected_k",
 ]

@@ -49,7 +49,7 @@ class KRRStack:
     def __init__(
         self,
         k: float,
-        strategy: str | UpdateStrategy = "backward",
+        strategy: str = "backward",
         rng: RngLike = None,
         track_sizes: bool = False,
         size_array_base: int = 2,
@@ -57,11 +57,9 @@ class KRRStack:
         if k <= 0:
             raise ValueError("K must be positive")
         self.k = float(k)
-        rng = ensure_rng(rng)
-        if isinstance(strategy, str):
-            self._strategy: UpdateStrategy = make_strategy(strategy, self.k, rng)
-        else:
-            self._strategy = strategy
+        self._strategy: UpdateStrategy = make_strategy(
+            strategy, self.k, ensure_rng(rng)
+        )
         self._stack: List[int] = []
         self._pos: dict[int, int] = {}
         self._sizes: dict[int, int] = {}
@@ -74,21 +72,14 @@ class KRRStack:
         self.updates = 0
 
     # ------------------------------------------------------------------
-    @property
-    def strategy_name(self) -> str:
-        return self._strategy.name
-
-    def set_strategy(self, strategy: str | UpdateStrategy, rng: RngLike = None) -> None:
+    def set_strategy(self, strategy: str, rng: RngLike = None) -> None:
         """Swap the update strategy mid-stream.
 
         All strategies draw from the same swap-set distribution (§4.3), so
         the stack's statistics are unaffected; this exists so experiments
         can time one strategy on a stack warmed cheaply by another.
         """
-        if isinstance(strategy, str):
-            self._strategy = make_strategy(strategy, self.k, ensure_rng(rng))
-        else:
-            self._strategy = strategy
+        self._strategy = make_strategy(strategy, self.k, ensure_rng(rng))
 
     @property
     def tracks_sizes(self) -> bool:
@@ -239,15 +230,11 @@ class KRRStack:
         via :meth:`load_state` and continuing consumes draws identically
         to a run that never stopped.
         """
-        strategy_state: Optional[Dict[str, Any]] = None
-        dump = getattr(self._strategy, "state_dict", None)
-        if dump is not None:
-            strategy_state = dump()
         return {
             "k": self.k,
             "stack": [int(key) for key in self._stack],
             "sizes": [[int(key), int(sz)] for key, sz in self._sizes.items()],
-            "strategy": strategy_state,
+            "strategy": self._strategy.state_dict(),
             "size_array": (
                 self._size_array.state_dict()
                 if self._size_array is not None
@@ -266,12 +253,7 @@ class KRRStack:
         self._pos = {key: i for i, key in enumerate(self._stack)}
         self._sizes = {int(key): int(sz) for key, sz in state["sizes"]}
         if state["strategy"] is not None:
-            load = getattr(self._strategy, "load_state", None)
-            if load is None:
-                raise ValueError(
-                    f"strategy {self._strategy.name!r} cannot load state"
-                )
-            load(state["strategy"])
+            self._strategy.load_state(state["strategy"])
         if self._size_array is not None:
             if state["size_array"] is None:
                 raise ValueError("state has no sizeArray but track_sizes is on")

@@ -7,10 +7,10 @@ object or byte granularity.  Internally it wires together:
 
 * one KRR stack, picked by the configuration in :func:`build_stack`:
   the array-native :class:`~repro.stack.soa.SoAKRRStack` for the backward
-  and linear strategies at object granularity, the scalar
-  :class:`~repro.core.krr.KRRStack` for ``topdown`` and byte distances
-  (every grid cell of :class:`~repro.core.vkrr.MultiKRR` gets its stack
-  from the same function),
+  strategy at object granularity, the scalar
+  :class:`~repro.core.krr.KRRStack` for ``linear``, ``topdown`` and byte
+  distances (every grid cell of :class:`~repro.core.vkrr.MultiKRR` gets
+  its stack from the same function),
 * the ``K' = K^1.4`` correction (§4.2, on by default),
 * SHARDS-style spatial sampling (§2.4, optional; ``sampling_rate="auto"``
   applies the paper's rate-selection rule),
@@ -39,7 +39,7 @@ from ..mrc.builder import from_byte_histogram, from_distance_histogram
 from ..mrc.curve import MissRatioCurve
 from ..sampling.spatial import SpatialSampler, choose_rate
 from ..stack.histogram import ByteDistanceHistogram, DistanceHistogram
-from ..stack.soa import SoAKRRStack, int64_keys, soa_supports
+from ..stack.soa import SoAKRRStack, int64_keys
 from ..workloads.trace import Trace
 from .correction import DEFAULT_EXPONENT, corrected_k
 from .krr import KRRStack
@@ -58,19 +58,15 @@ def build_stack(
     rng: RngLike,
     track_sizes: bool = False,
     size_array_base: int = 2,
-    use_native: Optional[bool] = None,
 ) -> Union[SoAKRRStack, KRRStack]:
     """The stack one configuration runs on, for a model and a grid cell alike.
 
-    Backward and linear updates at object granularity run on
-    :class:`~repro.stack.soa.SoAKRRStack` (``use_native`` goes to it);
-    ``topdown`` and byte distances run on the scalar
-    :class:`~repro.core.krr.KRRStack`.
+    Backward updates at object granularity run on
+    :class:`~repro.stack.soa.SoAKRRStack`; ``linear``, ``topdown`` and
+    byte distances run on the scalar :class:`~repro.core.krr.KRRStack`.
     """
-    if soa_supports(strategy, track_sizes):
-        return SoAKRRStack(
-            effective_k, strategy=strategy, rng=rng, use_native=use_native
-        )
+    if strategy == "backward" and not track_sizes:
+        return SoAKRRStack(effective_k, rng=rng)
     return KRRStack(
         effective_k,
         strategy=strategy,

@@ -30,14 +30,12 @@ __all__ = [
     "BackwardUpdate",
     "DRAW_BLOCK",
     "LinearUpdate",
-    "SurvivalTable",
     "TopDownUpdate",
     "UpdateStrategy",
     "apply_swaps",
     "backward_draw_block",
     "backward_draw_power",
     "make_strategy",
-    "survival_table",
 ]
 
 
@@ -108,61 +106,6 @@ def backward_draw_power(out: np.ndarray, inv_k: float) -> np.ndarray:
     return out
 
 
-class SurvivalTable:
-    """Per-K cache of the linear-update survival probabilities.
-
-    Position ``i`` of the stack survives a reference (keeps its resident)
-    with probability ``((i-1)/i)^K`` (Eq. 4.1); the values depend only on
-    ``(i, K)``, so one grow-on-demand table per ``K`` serves every
-    consumer.  :meth:`as_list` feeds the scalar :class:`LinearUpdate`
-    sweep (Python floats, shared list identity so growth is free) and
-    :meth:`as_array` feeds the vectorized SoA path; both views expose the
-    *same* float64 values, computed once, so survival comparisons agree
-    bit-for-bit across stacks.
-
-    Entries 0 and 1 are 0.0: positions below 2 are never drawn against.
-    """
-
-    __slots__ = ("k", "_values", "_array")
-
-    def __init__(self, k: float) -> None:
-        if k <= 0:
-            raise ValueError("K must be positive")
-        self.k = float(k)
-        self._values: List[float] = [0.0, 0.0]
-        self._array = np.asarray(self._values, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def as_list(self, n: int) -> List[float]:
-        """The shared value list, grown to cover positions ``< n``."""
-        values = self._values
-        if n > len(values):
-            k = self.k
-            values.extend(((i - 1) / i) ** k for i in range(len(values), n))
-        return values
-
-    def as_array(self, n: int) -> np.ndarray:
-        """Array view of the same values, grown to cover positions ``< n``."""
-        values = self.as_list(n)
-        if self._array.shape[0] < len(values):
-            self._array = np.asarray(values, dtype=np.float64)
-        return self._array
-
-
-_SURVIVAL_TABLES: Dict[float, SurvivalTable] = {}
-
-
-def survival_table(k: float) -> SurvivalTable:
-    """The process-wide shared :class:`SurvivalTable` for sampling size ``k``."""
-    table = _SURVIVAL_TABLES.get(float(k))
-    if table is None:
-        table = SurvivalTable(k)
-        _SURVIVAL_TABLES[float(k)] = table
-    return table
-
-
 class _BufferedUniform:
     """Amortized scalar uniforms from a NumPy generator.
 
@@ -171,9 +114,7 @@ class _BufferedUniform:
     NumPy scalar wrapper, whose arithmetic is ~10x slower) keeps draws cheap
     while preserving seeded reproducibility.  The first block is drawn
     lazily on first use, so constructing a strategy consumes no generator
-    state — as in :class:`~repro.stack.soa.SoAKRRStack`, which is what
-    lets a scalar reference stack and an SoA stack built on the same seed
-    consume the identical stream.
+    state.
     """
 
     __slots__ = ("_rng", "_buf", "_pos", "_block")
@@ -211,6 +152,14 @@ class UpdateStrategy(Protocol):
         """Sorted 1-based swap positions for a hit at ``phi`` (includes 1, phi)."""
         ...
 
+    def state_dict(self) -> Dict[str, Any]:
+        """Buffered draws not yet served, JSON-safe."""
+        ...
+
+    def load_state(self, state: Dict[str, Any]) -> None:
+        """Restore :meth:`state_dict` output."""
+        ...
+
 
 class LinearUpdate:
     """Naive Mattson sweep: one Bernoulli draw per stack position, ``O(M)``."""
@@ -222,12 +171,11 @@ class LinearUpdate:
             raise ValueError("K must be positive")
         self.k = float(k)
         self._uniform = _BufferedUniform(ensure_rng(rng))
-        # Survival probabilities ((i-1)/i)^K depend only on the position,
-        # not the access: the process-wide shared table caches them
-        # (grow-on-demand, indexed by position) instead of paying one
-        # pow() per position per access — and the SoA stack compares
-        # against the very same values.
-        self._table = survival_table(self.k)
+        # Survival probabilities ((i-1)/i)^K (Eq. 4.1) depend only on the
+        # position, not the access: cache them, grown on demand and
+        # indexed by position, instead of paying one pow() per position
+        # per access.  Entries 0 and 1 are never drawn against.
+        self._survival: List[float] = [0.0, 0.0]
 
     def state_dict(self) -> Dict[str, Any]:
         return {"kind": self.name, "uniform": self._uniform.state_dict()}
@@ -242,7 +190,10 @@ class LinearUpdate:
             raise ValueError("phi must be >= 1")
         if phi == 1:
             return [1]
-        survival = self._table.as_list(phi)
+        survival = self._survival
+        if phi > len(survival):
+            k = self.k
+            survival.extend(((i - 1) / i) ** k for i in range(len(survival), phi))
         swaps = [1]
         u = self._uniform
         for i in range(2, phi):

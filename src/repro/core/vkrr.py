@@ -15,11 +15,11 @@ Each configuration runs on the stack a ``KRRModel`` of the same
 configuration builds (:func:`~repro.core.model.build_stack`).  The
 backward cells on :class:`~repro.stack.soa.SoAKRRStack` advance together,
 in one :func:`~repro.stack.soa.walk_backward_lanes` call per chunk that
-keeps two cells' swap chains in flight; the linear SoA cells take the
-chunk's ids one by one.  ``topdown`` and byte-level (``track_sizes``)
-cells run on the scalar :class:`~repro.core.krr.KRRStack`, fed the same
-dense ids as key labels together with the chunk's sizes, and a
-``track_sizes`` cell reports its byte curve (unit ``"bytes"``).
+keeps two cells' swap chains in flight.  ``linear``, ``topdown`` and
+byte-level (``track_sizes``) cells run on the scalar
+:class:`~repro.core.krr.KRRStack`, fed the same dense ids as key labels
+together with the chunk's sizes, and a ``track_sizes`` cell reports its
+byte curve (unit ``"bytes"``).
 
 **Seeding contract.**  Per-configuration seeds are spawned from the grid
 seed by position with :func:`spawn_seeds`, the engine-wide derivation,
@@ -174,21 +174,16 @@ def _advance(
 ) -> None:
     """Push one chunk of dense ids (and its sizes) through every cell.
 
-    Each distinct mask selects its cells' ids once; every backward SoA
-    cell then advances in one :func:`~repro.stack.soa.walk_backward_lanes`
-    call and the linear SoA cells one by one.  The scalar cells take the
-    ids and sizes their mask selects as Python lists, converted once per
-    chunk and mask.  The histograms and counters take the distances last.
+    Each distinct mask selects its cells' ids once; every SoA cell then
+    advances in one :func:`~repro.stack.soa.walk_backward_lanes` call.
+    The scalar cells take the ids and sizes their mask selects as Python
+    lists, converted once per chunk and mask.  The histograms and
+    counters take the distances last.
     """
     subs: Dict[Optional[_MaskKey], np.ndarray] = {None: kids}
     for mask_key, mask in masks.items():
         subs[mask_key] = kids[mask]
-    lanes = [
-        c
-        for c, cell in enumerate(cells)
-        if isinstance(cell.stack, SoAKRRStack)
-        and cell.stack.strategy_name == "backward"
-    ]
+    lanes = [c for c, cell in enumerate(cells) if isinstance(cell.stack, SoAKRRStack)]
     walked = walk_backward_lanes(
         [cells[c].stack for c in lanes], [subs[cells[c].mask_key] for c in lanes]
     )
@@ -197,13 +192,10 @@ def _advance(
     for c, cell in enumerate(cells):
         if c in distances:
             continue
-        ids = subs[cell.mask_key]
-        if isinstance(cell.stack, SoAKRRStack):
-            distances[c] = cell.stack.access_many_interned(ids)
-            continue
+        assert isinstance(cell.stack, KRRStack)
         if cell.mask_key not in lists:
             rows = sizes if cell.mask_key is None else sizes[masks[cell.mask_key]]
-            lists[cell.mask_key] = (ids.tolist(), rows.tolist())
+            lists[cell.mask_key] = (subs[cell.mask_key].tolist(), rows.tolist())
         dist, byte_dist = cell.stack.access_many(*lists[cell.mask_key])
         if cell.byte_hist is not None:
             cell.byte_hist.record_many(byte_dist)
@@ -290,7 +282,6 @@ class MultiKRR:
         trace: Optional[Trace] = None,
         max_size: Optional[int] = None,
         chunk_size: int = DEFAULT_CHUNK,
-        use_native: Optional[bool] = None,
         stream: Optional[Iterable[Trace]] = None,
     ) -> List[SweepResult]:
         """Evaluate every cell in one streaming pass; ordered like ``configs``.
@@ -306,8 +297,7 @@ class MultiKRR:
         Every cell's distances, histograms and counters are
         **bit-identical** for any chunking, in memory or streamed
         (property-tested in ``tests/test_vkrr.py`` and
-        ``tests/test_stream.py``).  ``use_native`` is forwarded to the
-        SoA stacks.
+        ``tests/test_stream.py``).
         """
         # Imported here: repro.engine imports this module.
         from ..engine.plan import StreamingTracePlan
@@ -319,7 +309,7 @@ class MultiKRR:
         elif trace is not None:
             raise ValueError("pass either trace= or stream=, not both")
         splan = StreamingTracePlan()
-        cells, samplers = self._cells(use_native)
+        cells, samplers = self._cells()
         for chunk in stream:
             splan.observe(chunk)
             kids = splan.intern(chunk.keys)
@@ -332,9 +322,7 @@ class MultiKRR:
             _advance(cells, kids, chunk.sizes, masks)
         return self._collect_results(cells, splan.n_requests, max_size)
 
-    def _cells(
-        self, use_native: Optional[bool]
-    ) -> Tuple[List["_Cell"], Dict[_MaskKey, SpatialSampler]]:
+    def _cells(self) -> Tuple[List["_Cell"], Dict[_MaskKey, SpatialSampler]]:
         """One cell per configuration, plus one sampler per distinct mask."""
         seeds = self.config_seeds()
         samplers: Dict[_MaskKey, SpatialSampler] = {}
@@ -352,13 +340,7 @@ class MultiKRR:
                 if cfg.correction
                 else float(int(cfg.k))
             )
-            stack = build_stack(
-                effective_k,
-                cfg.strategy,
-                seeds[c],
-                cfg.track_sizes,
-                use_native=use_native,
-            )
+            stack = build_stack(effective_k, cfg.strategy, seeds[c], cfg.track_sizes)
             cells.append(_Cell(cfg, seeds[c], stack, scale, mask_key))
         return cells, samplers
 

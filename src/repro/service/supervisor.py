@@ -439,7 +439,14 @@ class Supervisor:
     # Tenant management
     # ------------------------------------------------------------------
     def add_tenant(self, config: TenantConfig) -> None:
-        """Register + start a new tenant (persists to the registry)."""
+        """Register + start a new tenant (persists to the registry).
+
+        The tenant's model and baseline are built once first, so a
+        configuration no worker could build raises ``ValueError`` here,
+        before anything is persisted or forked.
+        """
+        config.build_model()
+        config.build_shards()
         self.registry.add(config)
         self._add_tenant_locked(config)
 

@@ -28,7 +28,7 @@ from .priority_stack import (
     opt_distances,
     opt_mrc,
 )
-from .soa import SOA_STRATEGIES, SoAKRRStack
+from .soa import SoAKRRStack
 
 __all__ = [
     "ByteDistanceHistogram",
@@ -39,7 +39,6 @@ __all__ = [
     "LinkedListLRUStack",
     "OrderStatisticTreap",
     "PriorityStack",
-    "SOA_STRATEGIES",
     "SoAKRRStack",
     "TreeLRUStack",
     "lfu_distances",

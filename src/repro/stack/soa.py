@@ -16,16 +16,14 @@ work recommends: one flat ``int64`` array per field.
   its cells), so the hot loop never touches a Python dict or a boxed
   integer.  Every array grows on demand.
 
-``access_many`` then processes whole request chunks: survival
-probabilities come from the shared
-:func:`~repro.core.updates.survival_table`, and the data-dependent chain
-walk runs inside the compiled kernel from :mod:`repro.stack._native`
-when a C compiler is available (pure-Python fallback otherwise — same
-draws, same results, less speed).  :func:`walk_backward_lanes` walks
-several backward stacks over their own chunks in one kernel call, two
-swap chains at a time; that is how :class:`~repro.core.vkrr.MultiKRR`
-advances a grid, and a single stack's chunk is the one-lane case of the
-same call.
+``access_many`` then processes whole request chunks: the data-dependent
+chain walk of the backward update (Algorithm 2) runs inside the compiled
+kernel from :mod:`repro.stack._native` when a C compiler is available
+(pure-Python fallback otherwise — same draws, same results, less speed).
+:func:`walk_backward_lanes` walks several stacks over their own chunks in
+one kernel call, two swap chains at a time; that is how
+:class:`~repro.core.vkrr.MultiKRR` advances a grid, and a single stack's
+chunk is the one-lane case of the same call.
 
 Inverse-CDF draws come in blocks of ``(1 - U)^(1/K)``.  The Python walk
 takes each block from :func:`~repro.core.updates.backward_draw_block`.
@@ -38,12 +36,13 @@ After every walk the generator stands where the last block handed over
 left it: uniforms a walk drew past that are dropped and drawn again by
 the next walk.
 
-**Seeding contract.**  For any ``(k, strategy, seed)`` this stack
-consumes the generator's stream in exactly the refill pattern the scalar
-strategies use (blocks of :data:`~repro.core.updates.DRAW_BLOCK` draws,
-transformed by the shared helpers) and applies the identical update
-arithmetic, so distances, final stack order and swap counters are
-bit-identical to :class:`~repro.core.krr.KRRStack` — property-tested in
+**Seeding contract.**  For any ``(k, seed)`` this stack consumes the
+generator's stream in exactly the refill pattern
+:class:`~repro.core.updates.BackwardUpdate` uses (blocks of
+:data:`~repro.core.updates.DRAW_BLOCK` draws, transformed by the shared
+helpers) and applies the identical update arithmetic, so distances,
+final stack order and swap counters are bit-identical to a backward
+:class:`~repro.core.krr.KRRStack` — property-tested in
 ``tests/test_soa_engine.py``.  Each stack refills only its own buffer
 from its own generator, so walking it beside other lanes changes
 nothing; lanes walked together must therefore not share a generator.
@@ -53,13 +52,12 @@ not across hosts: NumPy's vectorized ``u ** (1/K)`` differs from libm
 percent of draws, so every draw's power must come from
 :func:`~repro.core.updates.backward_draw_power` (see
 docs/PERFORMANCE.md).  The uniforms carry no such caveat: the kernel's
-PCG64 step and ``1 - U`` are exact integer and power-of-two arithmetic.  Supported strategies: ``"backward"`` (chain walk)
-and ``"linear"`` (vectorized survival sweep); ``"topdown"`` has no
-array-friendly formulation and, like byte distances, stays on the scalar
-stack.  :func:`~repro.core.model.build_stack` asks :func:`soa_supports`
-which stack a configuration gets, for a model and a grid cell alike, so
-a grid can mix both kinds of stack in its one pass.  Both stacks write
-one snapshot layout.
+PCG64 step and ``1 - U`` are exact integer and power-of-two arithmetic.
+
+``linear``, ``topdown`` and byte distances run on the scalar stack;
+:func:`~repro.core.model.build_stack` picks the stack of a model and of a
+grid cell alike, so a grid can mix both kinds of stack in its one pass.
+Both stacks write one snapshot layout.
 """
 
 from __future__ import annotations
@@ -70,25 +68,15 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from .._util import RngLike, ensure_rng
-from ..core.updates import (
-    DRAW_BLOCK,
-    backward_draw_block,
-    backward_draw_power,
-    survival_table,
-)
+from ..core.updates import DRAW_BLOCK, backward_draw_block, backward_draw_power
 from ._native import BackwardKernel, load_backward_kernel
 
 __all__ = [
-    "SOA_STRATEGIES",
     "SoAKRRStack",
     "int64_keys",
-    "soa_supports",
     "walk_backward_lanes",
 ]
 
-
-#: Update strategies with an SoA implementation.
-SOA_STRATEGIES = ("backward", "linear")
 
 # See _soa_kernel.c: state is [i, n_stack, bpos, cur_j, swaps, ref,
 # refills, npos]; gen is a PCG64 state, increment and block-end state as
@@ -99,12 +87,6 @@ _WORD = (1 << 64) - 1
 
 #: Starting length of a stack's slot and id arrays (doubled on demand).
 _INITIAL_CAPACITY = 1024
-
-
-def soa_supports(strategy: str, track_sizes: bool) -> bool:
-    """True when a model of this configuration runs on :class:`SoAKRRStack`
-    (else on the scalar :class:`~repro.core.krr.KRRStack`)."""
-    return strategy in SOA_STRATEGIES and not track_sizes
 
 
 def int64_keys(keys: Union[np.ndarray, Sequence[int]]) -> np.ndarray:
@@ -124,17 +106,15 @@ def int64_keys(keys: Union[np.ndarray, Sequence[int]]) -> np.ndarray:
 
 
 class SoAKRRStack:
-    """Array-native KRR stack with batched, draw-identical updates.
+    """Array-native KRR stack with batched, draw-identical backward updates.
 
     Parameters
     ----------
     k:
         The (possibly corrected) KRR parameter; may be fractional.
-    strategy:
-        ``"backward"`` (default) or ``"linear"``.
     rng:
         Seed or generator; the stream is consumed exactly as the scalar
-        strategy with the same seed would consume it.
+        backward strategy with the same seed would consume it.
     use_native:
         ``None`` (default) uses the compiled kernel when available;
         ``False`` forces the pure-Python walk (testing/diagnostics);
@@ -144,23 +124,17 @@ class SoAKRRStack:
     def __init__(
         self,
         k: float,
-        strategy: str = "backward",
         rng: RngLike = None,
         use_native: Optional[bool] = None,
     ) -> None:
         if k <= 0:
             raise ValueError("K must be positive")
-        if strategy not in SOA_STRATEGIES:
-            raise ValueError(
-                f"SoA stack supports strategies {SOA_STRATEGIES}, got {strategy!r}"
-            )
         self.k = float(k)
         self._inv_k = 1.0 / self.k
-        self.strategy_name = strategy
         self._rng = ensure_rng(rng)
 
         self._kernel: Optional[BackwardKernel] = None
-        if strategy == "backward" and use_native is not False:
+        if use_native is not False:
             self._kernel = load_backward_kernel()
             if use_native and self._kernel is None:
                 raise RuntimeError(
@@ -175,10 +149,10 @@ class SoAKRRStack:
         self._n = 0
 
         # Draw buffers, lazily filled on first use — exactly like the
-        # scalar strategies, so construction consumes no generator state.
-        # The backward buffer is one array for the stack's lifetime,
-        # refilled in place, so the kernel call bound over it per chunk
-        # stays valid across refills; it starts spent (bpos == block).
+        # scalar strategy, so construction consumes no generator state.
+        # The buffer is one array for the stack's lifetime, refilled in
+        # place, so the kernel call bound over it per chunk stays valid
+        # across refills; it starts spent (bpos == block).
         # The kernel draws the next block's 1 - U into _next beside the
         # chain walk; what it holds between walks is never read.
         self._buf = np.empty(DRAW_BLOCK, dtype=np.float64)  # (1-U)^(1/K)
@@ -186,9 +160,6 @@ class SoAKRRStack:
         self._buf_list: List[float] = []                    # python mirror
         self._bpos = DRAW_BLOCK
         self._refills = -1  # counted as BackwardUpdate counts them
-        self._ubuf = np.empty(0, dtype=np.float64)  # linear: raw uniforms
-        self._ubpos = 0
-        self._table = survival_table(self.k) if strategy == "linear" else None
 
         # Raw-key interning (unused when ids are supplied externally).
         self._ids: Dict[int, int] = {}
@@ -352,12 +323,7 @@ class SoAKRRStack:
     ) -> np.ndarray:
         if kids.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        if self.strategy_name == "linear":
-            self._ensure_capacity(int(kids.max()), kids.shape[0])
-            distances = self._walk_linear(kids)
-            self.updates += int(kids.shape[0])
-        else:
-            distances = _walk_backward([self], [kids])[0]
+        distances = _walk_backward([self], [kids])[0]
         if sizes is not None:
             # Fancy assignment applies duplicates in order, so the last
             # access's size wins — the same end state the scalar stack's
@@ -376,23 +342,20 @@ class SoAKRRStack:
         externally interned ids has no keys to write and refuses.
         """
         keys = self.keys_in_stack_order()
-        if self.strategy_name == "linear":
-            buf, pos = self._ubuf.tolist(), self._ubpos
-        else:
-            buf = self._buf_list if self._kernel is None else self._buf.tolist()
-            pos = self._bpos
+        buf = self._buf_list if self._kernel is None else self._buf.tolist()
+        pos = self._bpos
         if pos >= len(buf):  # spent, or never filled
             buf, pos = [], DRAW_BLOCK
-        draws: Dict[str, Any] = {"buf": list(buf), "pos": pos}
-        if self.strategy_name == "linear":
-            draws = {"kind": "linear", "uniform": draws}
-        else:
-            draws.update(kind="backward", refills=self._refills)
         return {
             "k": self.k,
             "stack": keys,
             "sizes": [list(pair) for pair in zip(keys, self.sizes_in_stack_order())],
-            "strategy": draws,
+            "strategy": {
+                "buf": list(buf),
+                "pos": pos,
+                "kind": "backward",
+                "refills": self._refills,
+            },
             "size_array": None,
             "total_swaps": self.total_swaps,
             "updates": self.updates,
@@ -409,11 +372,10 @@ class SoAKRRStack:
                 f"stack state is for K={state['k']!r}, this stack has K={self.k}"
             )
         draws = state["strategy"] or {}
-        if draws.get("kind") != self.strategy_name:
+        if draws.get("kind") != "backward":
             raise ValueError(f"stack state is for strategy {draws.get('kind')!r}")
-        uniform = draws.get("uniform", draws)  # linear nests its buffer
-        buf = [float(v) for v in uniform["buf"]]
-        pos = int(uniform["pos"])
+        buf = [float(v) for v in draws["buf"]]
+        pos = int(draws["pos"])
         if len(buf) != DRAW_BLOCK and (buf or pos < DRAW_BLOCK):
             raise ValueError(f"draw buffer of {len(buf)} at pos {pos}")
         id_keys = int64_keys(state["stack"]).tolist()
@@ -431,13 +393,10 @@ class SoAKRRStack:
         self._sizes[size_ids] = [int(size) for _, size in pairs]
         self._n, self._ids, self._id_keys = n, ids, id_keys
         self._external_dense = False
-        if self.strategy_name == "linear":
-            self._ubuf, self._ubpos = np.asarray(buf, dtype=np.float64), pos
-        else:
-            if buf:
-                self._buf[:] = buf  # in place: the array outlives refills
-            self._buf_list, self._bpos = buf, pos
-            self._refills = int(draws["refills"])
+        if buf:
+            self._buf[:] = buf  # in place: the array outlives refills
+        self._buf_list, self._bpos = buf, pos
+        self._refills = int(draws["refills"])
         self.total_swaps = int(state["total_swaps"])
         self.updates = int(state["updates"])
 
@@ -498,74 +457,6 @@ class SoAKRRStack:
         self.total_swaps += swaps
         return np.asarray(distances, dtype=np.int64)
 
-    # ------------------------------------------------------------------
-    def _take_uniforms(self, needed: int) -> np.ndarray:
-        """Next ``needed`` uniforms, refilling in DRAW_BLOCK-sized blocks.
-
-        Consumes ``Generator.random(DRAW_BLOCK)`` blocks exactly like the
-        scalar ``_BufferedUniform``, so the value sequence matches the
-        linear oracle draw for draw.
-        """
-        parts: List[np.ndarray] = []
-        while needed > 0:
-            available = self._ubuf.shape[0] - self._ubpos
-            if available <= 0:
-                self._ubuf = self._rng.random(DRAW_BLOCK)
-                self._ubpos = 0
-                available = DRAW_BLOCK
-            take = min(needed, available)
-            parts.append(self._ubuf[self._ubpos : self._ubpos + take])
-            self._ubpos += take
-            needed -= take
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
-
-    def _walk_linear(self, kids: np.ndarray) -> np.ndarray:
-        """Vectorized linear sweep: one survival-table compare per access."""
-        assert self._table is not None
-        stack = self._stack
-        pos = self._pos
-        table = self._table
-        n_res = self._n
-        swaps = 0
-        distances = np.empty(kids.shape[0], dtype=np.int64)
-        for i, kid in enumerate(kids.tolist()):
-            p = int(pos[kid])
-            if p < 0:
-                stack[n_res] = kid
-                pos[kid] = n_res
-                n_res += 1
-                phi = n_res
-                distances[i] = -1
-            else:
-                phi = p + 1
-                distances[i] = phi
-            if phi == 1:
-                swaps += 1
-                continue
-            # Positions 2..phi-1 swap where their uniform clears the
-            # survival probability — one vectorized compare per access.
-            mids = np.empty(0, dtype=np.int64)
-            if phi > 2:
-                u = self._take_uniforms(phi - 2)
-                surv = table.as_array(phi)
-                mids = np.flatnonzero(u >= surv[2:phi])
-            swaps += int(mids.shape[0]) + 2
-            slots = np.empty(mids.shape[0] + 2, dtype=np.int64)
-            slots[0] = 0
-            slots[1:-1] = mids + 1  # 1-based position (m+2) -> slot (m+1)
-            slots[-1] = phi - 1
-            ref = int(stack[phi - 1])
-            moved = stack[slots[:-1]]
-            stack[slots[1:]] = moved
-            pos[moved] = slots[1:]
-            stack[0] = ref
-            pos[ref] = 0
-        self._n = n_res
-        self.total_swaps += swaps
-        return distances
-
 
 def _check_dense(kids: np.ndarray) -> None:
     """Refuse negative dense ids: the walks index ``pos`` with them."""
@@ -576,7 +467,7 @@ def _check_dense(kids: np.ndarray) -> None:
 def walk_backward_lanes(
     stacks: Sequence[SoAKRRStack], kids: Sequence[np.ndarray]
 ) -> List[np.ndarray]:
-    """Walk each backward stack over its own chunk of dense ids at once.
+    """Walk each stack over its own chunk of dense ids at once.
 
     ``kids[i]`` feeds ``stacks[i]`` exactly as
     :meth:`SoAKRRStack.access_many_interned` would, with the same id-space
@@ -590,8 +481,6 @@ def walk_backward_lanes(
     """
     if len(stacks) != len(kids):
         raise ValueError(f"{len(stacks)} stacks but {len(kids)} kid arrays")
-    if any(stack.strategy_name != "backward" for stack in stacks):
-        raise ValueError("walk_backward_lanes walks backward stacks only")
     if len({id(stack) for stack in stacks}) != len(stacks):
         # Two lanes on one stack would walk the same arrays at once.
         raise ValueError("walk_backward_lanes got the same stack twice")

@@ -214,24 +214,22 @@ def _hashed(keys: list[int]) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _boundary_stream(strategy: str) -> tuple[list[int], int]:
-    """Keys, and a cut after which a stack has just served the last
-    draw of its first block.
+def _boundary_stream() -> tuple[list[int], int]:
+    """Keys, and a cut after which a backward stack has just served the
+    last draw of its first block.
 
-    Alternating two keys (backward) or cycling three (linear) keeps every
-    hit at position 2 or 3, where an update takes at most one draw, so
-    the draw cursor stops exactly at the end of the block.  Zipf traffic
-    follows the cut.
+    Alternating two keys keeps every hit at position 2, where an update
+    takes one draw, so the draw cursor stops exactly at the end of the
+    block.  Zipf traffic follows the cut.
     """
-    cycle = 2 if strategy == "backward" else 3
-    stack = KRRStack(4.0, strategy=strategy, rng=ensure_rng(5))
-    draws = stack._strategy if strategy == "backward" else stack._strategy._uniform
+    stack = KRRStack(4.0, strategy="backward", rng=ensure_rng(5))
+    draws = stack._strategy
     keys: list[int] = []
     while not (draws._pos == DRAW_BLOCK and draws._buf):
-        keys += _hashed([len(keys) % cycle])
+        keys += _hashed([len(keys) % 2])
         stack.access(keys[-1])
     cut = len(keys)
-    keys += _hashed([i % cycle for i in range(cut, cut + 40)])
+    keys += _hashed([i % 2 for i in range(cut, cut + 40)])
     keys += _hashed(_keys(1_200, objects=150, seed=4))
     return keys, cut
 
@@ -247,7 +245,7 @@ def _generator(state=None):
 def _stack(kind: str, strategy: str, rng, use_native):
     if kind == "scalar":
         return KRRStack(4.0, strategy=strategy, rng=rng)
-    return SoAKRRStack(4.0, strategy=strategy, rng=rng, use_native=use_native)
+    return SoAKRRStack(4.0, rng=rng, use_native=use_native)
 
 
 def _feed(stack, keys: list[int], chunk: int) -> list[int]:
@@ -260,15 +258,16 @@ def _feed(stack, keys: list[int], chunk: int) -> list[int]:
 
 @pytest.mark.parametrize("use_native", [None, False])
 @pytest.mark.parametrize("src, dst", [("scalar", "soa"), ("soa", "scalar")])
-@pytest.mark.parametrize("strategy", ["backward", "linear"])
+@pytest.mark.parametrize("strategy", ["backward"])
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_stack_snapshot_moves_between_stacks(strategy, src, dst, use_native, data):
     """A snapshot of either stack, taken mid-block or with the block just
     spent, continues on the other stack exactly as a stack that never
     stopped: same distances, counters and order (keys >= 2^63 wrap mod
-    2^64 on SoA, so orders are compared wrapped)."""
-    keys, spent = _boundary_stream(strategy)
+    2^64 on SoA, so orders are compared wrapped).  SoA walks backward
+    only, so that is the one strategy both stacks share."""
+    keys, spent = _boundary_stream()
     cut = data.draw(
         st.one_of(st.integers(0, len(keys)), st.just(spent)), label="cut"
     )
@@ -374,4 +373,73 @@ def test_scalar_stack_windowed_snapshot_resumes(strategy):
 
     assert resumed.rotations == full.rotations >= 4
     assert resumed.state_dict() == full.state_dict()
+    assert np.array_equal(resumed.mrc().miss_ratios, full.mrc().miss_ratios)
+
+
+# ----------------------------------------------------------------------
+# linear snapshots written while SoA still ran linear
+# ----------------------------------------------------------------------
+def _sizes_in_stack_order(stack_state: dict) -> dict:
+    """``stack_state`` with its ``sizes`` pairs in stack order: the layout
+    of linear snapshots from releases that ran ``linear`` on SoA."""
+    sizes = dict(map(tuple, stack_state["sizes"]))
+    pairs = [[key, sizes[key]] for key in stack_state["stack"]]
+    assert pairs != stack_state["sizes"]  # the reorder is not a no-op
+    return {**stack_state, "sizes": pairs}
+
+
+def _sizes_as_map(model_state: dict) -> dict:
+    """``model_state`` with its stack's ``sizes`` pairs as a map: the
+    scalar stack writes them in first-insertion order, SoA wrote stack
+    order, and both load them as a map."""
+    stack = model_state["stack"]
+    sizes = dict(map(tuple, stack["sizes"]))
+    return {**model_state, "stack": {**stack, "sizes": sizes}}
+
+
+def _linear_stream(n: int, objects: int) -> tuple[np.ndarray, np.ndarray]:
+    """A ``uint64`` key column (about half >= 2^63, which every stack
+    reduces mod 2^64 from a column) and its object sizes."""
+    keys = np.array(_hashed(_keys(n, objects=objects)), dtype=np.uint64)
+    return keys, (keys % np.uint64(97)).astype(np.int64) + 1
+
+
+@pytest.mark.parametrize("rate", [None, 0.3])
+def test_soa_linear_model_snapshot_resumes(rate):
+    keys, sizes = _linear_stream(3_000, 200)
+    full = KRRModel(k=4, strategy="linear", sampling_rate=rate, seed=8)
+    full.access_many(keys, sizes)
+
+    first = KRRModel(k=4, strategy="linear", sampling_rate=rate, seed=8)
+    first.access_many(keys[:1_700], sizes[:1_700])
+    snapshot = first.state_dict()
+    snapshot["stack"] = _sizes_in_stack_order(snapshot["stack"])
+    resumed = KRRModel.from_state(_roundtrip(snapshot))
+    resumed.access_many(keys[1_700:], sizes[1_700:])
+
+    assert _sizes_as_map(resumed.state_dict()) == _sizes_as_map(full.state_dict())
+    assert np.array_equal(resumed.mrc().miss_ratios, full.mrc().miss_ratios)
+    assert resumed.stats == full.stats
+
+
+def test_soa_linear_windowed_snapshot_resumes():
+    keys, sizes = _linear_stream(5_000, 150)
+    window, cut = 1_600, 2_000  # cut after rotation 2, 400 into the third
+    full = WindowedKRRModel(k=3, window=window, strategy="linear", seed=6)
+    full.access_many(keys, sizes)
+
+    first = WindowedKRRModel(k=3, window=window, strategy="linear", seed=6)
+    first.access_many(keys[:cut], sizes[:cut])
+    snapshot = first.state_dict()
+    for name in ("current", "warming"):
+        snapshot[name]["stack"] = _sizes_in_stack_order(snapshot[name]["stack"])
+    resumed = WindowedKRRModel.from_state(_roundtrip(snapshot))
+    resumed.access_many(keys[cut:], sizes[cut:])
+
+    def as_map(state: dict) -> dict:
+        generations = ("current", "warming")
+        return {**state, **{g: _sizes_as_map(state[g]) for g in generations}}
+
+    assert resumed.rotations == full.rotations >= 4
+    assert as_map(resumed.state_dict()) == as_map(full.state_dict())
     assert np.array_equal(resumed.mrc().miss_ratios, full.mrc().miss_ratios)

@@ -258,7 +258,7 @@ class TestKernelUnderSanitizers:
     def _stack(self, k: int, rng):
         from repro.stack.soa import SoAKRRStack
 
-        return SoAKRRStack(k, strategy="backward", rng=rng, use_native=True)
+        return SoAKRRStack(k, rng=rng, use_native=True)
 
     def test_mid_chain_refill_is_exercised(self, monkeypatch):
         # Shrink the draw block so the kernel returns done=False mid-chain
@@ -281,14 +281,8 @@ class TestKernelUnderSanitizers:
 
         from repro.stack.soa import SoAKRRStack
 
-        native = SoAKRRStack(
-            8, strategy="backward", rng=np.random.default_rng(42),
-            use_native=True,
-        )
-        python = SoAKRRStack(
-            8, strategy="backward", rng=np.random.default_rng(42),
-            use_native=False,
-        )
+        native = SoAKRRStack(8, rng=np.random.default_rng(42), use_native=True)
+        python = SoAKRRStack(8, rng=np.random.default_rng(42), use_native=False)
         d_native, _ = native.access_many(keys)
         d_python, _ = python.access_many(keys)
         assert np.array_equal(np.asarray(d_native), np.asarray(d_python))

@@ -315,6 +315,52 @@ class TestApi:
         assert _call(api, "GET", "/tenants/t")[0] == 405
 
 
+_UNBUILDABLE = [
+    {"strategy": "bogus"},
+    {"k": 0},
+    {"window": 0},
+    {"sampling_rate": 2.0},
+]
+
+
+@pytest.mark.parametrize(
+    "bad", _UNBUILDABLE, ids=[next(iter(bad)) for bad in _UNBUILDABLE]
+)
+class TestUnbuildableTenant:
+    """A configuration no worker could build is refused before it is
+    persisted or forked (on a supervisor that was never started, so no
+    worker runs either way)."""
+
+    @pytest.fixture
+    def sup(self, tmp_path):
+        registry = TenantRegistry(tmp_path)
+        registry.add(TenantConfig(tenant_id="ok"))
+        return Supervisor(registry, max_restarts=2, restart_backoff=0.05)
+
+    def assert_unchanged(self, sup):
+        assert [c.tenant_id for c in sup.registry.list()] == ["ok"]
+        reopened = TenantRegistry(sup.registry.data_dir)
+        assert reopened.list() == [TenantConfig(tenant_id="ok")]
+        assert sup.health() == {"tenants": {}}
+        assert not sup.registry.tenant_dir("bad").exists()
+
+    def test_add_tenant_raises(self, sup, bad):
+        with pytest.raises(ValueError):
+            sup.add_tenant(TenantConfig(tenant_id="bad", **bad))
+        self.assert_unchanged(sup)
+
+    def test_post_tenants_is_400(self, sup, bad):
+        code, _, body = _call(Api(sup), "POST", "/tenants", {"tenant_id": "bad", **bad})
+        assert code == 400 and body["error"]
+        self.assert_unchanged(sup)
+
+    def test_registry_still_loads_such_an_entry(self, tmp_path, bad):
+        """The check lives in the supervisor, not the config: a registry
+        written before it still opens."""
+        TenantRegistry(tmp_path).add(TenantConfig(tenant_id="bad", **bad))
+        assert "bad" in TenantRegistry(tmp_path)
+
+
 # ----------------------------------------------------------------------
 # Real supervisor end to end (worker processes, degradation, 429)
 # ----------------------------------------------------------------------

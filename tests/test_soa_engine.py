@@ -1,11 +1,10 @@
 """Bit-identity and behavior of the SoA streaming engine.
 
-The contract under test: for any (k, strategy, seed, request stream,
-chunking), :class:`repro.stack.soa.SoAKRRStack` — native kernel or
-pure-Python fallback — consumes the generator stream and updates the
-stack exactly like the scalar :class:`repro.core.krr.KRRStack`, and a
-``KRRModel`` on its SoA stack therefore matches a scalar reference built
-from the parts.
+The contract under test: for any (k, seed, request stream, chunking),
+:class:`repro.stack.soa.SoAKRRStack` — native kernel or pure-Python
+fallback — consumes the generator stream and updates the stack exactly
+like a backward :class:`repro.core.krr.KRRStack`, and a ``KRRModel`` on
+its SoA stack therefore matches a scalar reference built from the parts.
 """
 
 from dataclasses import astuple
@@ -15,34 +14,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._util import ensure_rng
 from repro.core.correction import corrected_k
 from repro.core.eviction import expected_swap_positions
 from repro.core.krr import KRRStack
-from repro.core.model import KRRModel
+from repro.core.model import KRRModel, build_stack
+from repro.core.vkrr import MultiKRR, SweepConfig
 from repro.sampling.spatial import SpatialSampler
 from repro.stack._native import native_kernel_active
-from repro.stack.soa import (
-    SOA_STRATEGIES,
-    SoAKRRStack,
-    soa_supports,
-    walk_backward_lanes,
-)
+from repro.stack.soa import SoAKRRStack, walk_backward_lanes
 from repro.workloads.trace import Trace
 from repro.workloads.zipf import zipf_trace_keys
 
 from .conftest import scalar_model_reference
 
 
-def scalar_reference(keys, k, strategy, seed):
-    stack = KRRStack(k, strategy=strategy, rng=np.random.default_rng(seed))
+def scalar_reference(keys, k, seed):
+    stack = KRRStack(k, rng=ensure_rng(seed))
     distances, _ = stack.access_many([int(x) for x in keys])
     return np.asarray(distances, dtype=np.int64), stack
 
 
-def soa_run(keys, k, strategy, seed, chunk, use_native):
-    stack = SoAKRRStack(
-        k, strategy=strategy, rng=np.random.default_rng(seed), use_native=use_native
-    )
+def soa_run(keys, k, seed, chunk, use_native):
+    stack = SoAKRRStack(k, rng=ensure_rng(seed), use_native=use_native)
     keys = np.asarray(keys, dtype=np.int64)
     parts = []
     for lo in range(0, keys.shape[0], chunk):
@@ -59,15 +53,14 @@ class TestDrawForDrawParity:
     @given(
         keys=key_streams,
         k=st.sampled_from([1, 2, 5, 9.56]),
-        strategy=st.sampled_from(SOA_STRATEGIES),
         seed=st.integers(min_value=0, max_value=2**31),
         chunk=st.sampled_from([1, 7, 64, 10_000]),
     )
-    def test_soa_matches_scalar_oracle(self, keys, k, strategy, seed, chunk):
+    def test_soa_matches_scalar_oracle(self, keys, k, seed, chunk):
         """Distances, counters and final order are all bit-identical —
         independent of how the stream is chunked."""
-        expected, ref = scalar_reference(keys, k, strategy, seed)
-        got, stack = soa_run(keys, k, strategy, seed, chunk, use_native=None)
+        expected, ref = scalar_reference(keys, k, seed)
+        got, stack = soa_run(keys, k, seed, chunk, use_native=None)
         assert np.array_equal(expected, got)
         assert stack.total_swaps == ref.total_swaps
         assert stack.updates == ref.updates
@@ -85,8 +78,8 @@ class TestDrawForDrawParity:
     def test_native_equals_python_fallback(self, keys, k, seed):
         """The compiled kernel and the pure-Python walk are the same
         machine: identical distances, counters, and stack order."""
-        d_native, s_native = soa_run(keys, k, "backward", seed, 50, use_native=True)
-        d_python, s_python = soa_run(keys, k, "backward", seed, 50, use_native=False)
+        d_native, s_native = soa_run(keys, k, seed, 50, use_native=True)
+        d_python, s_python = soa_run(keys, k, seed, 50, use_native=False)
         assert np.array_equal(d_native, d_python)
         assert s_native.total_swaps == s_python.total_swaps
         assert s_native.keys_in_stack_order() == s_python.keys_in_stack_order()
@@ -96,8 +89,8 @@ class TestDrawForDrawParity:
         the resumable kernel state must not lose or repeat a draw."""
         rng = np.random.default_rng(0)
         keys = rng.integers(0, 5_000, size=30_000)
-        expected, ref = scalar_reference(keys, 5, "backward", 3)
-        got, stack = soa_run(keys, 5, "backward", 3, 4_097, use_native=None)
+        expected, ref = scalar_reference(keys, 5, 3)
+        got, stack = soa_run(keys, 5, 3, 4_097, use_native=None)
         assert np.array_equal(expected, got)
         assert stack.total_swaps == ref.total_swaps
 
@@ -174,8 +167,10 @@ class TestStackApi:
         assert s.total_bytes == 50
 
     def test_rejects_unsupported_strategy(self):
-        with pytest.raises(ValueError):
-            SoAKRRStack(4, strategy="topdown")
+        """The stack walks backward only and takes no strategy at all."""
+        for strategy in ("backward", "linear", "topdown"):
+            with pytest.raises(TypeError):
+                SoAKRRStack(4, strategy=strategy)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -195,8 +190,6 @@ class TestStackApi:
             walk_backward_lanes([s, s], [kids, kids])
         with pytest.raises(ValueError):
             walk_backward_lanes([s], [kids, kids])
-        with pytest.raises(ValueError):
-            walk_backward_lanes([SoAKRRStack(4, strategy="linear", rng=0)], [kids])
         assert s.updates == 0
         # Same id-space guard as access_many_interned: a stack that holds
         # raw-key ids refuses streamed ids, and a stack the lanes walk fed
@@ -222,19 +215,18 @@ class TestStackApi:
             )),
         ],
     )
-    @pytest.mark.parametrize("strategy", SOA_STRATEGIES)
-    def test_negative_ids_are_refused_and_change_nothing(self, use_native, strategy):
+    def test_negative_ids_are_refused_and_change_nothing(self, use_native):
         """A negative dense id would index ``pos`` from its end (the
         kernel reads before the array); both entry points refuse it before
         they mark, grow or walk anything."""
-        fresh = SoAKRRStack(5.0, strategy=strategy, rng=0, use_native=use_native)
-        walked = SoAKRRStack(5.0, strategy=strategy, rng=1, use_native=use_native)
+        fresh = SoAKRRStack(5.0, rng=0, use_native=use_native)
+        walked = SoAKRRStack(5.0, rng=1, use_native=use_native)
         walked.access_many_interned(np.array([0, 4, 2, 4, 9, 0]))
 
         def snapshot(s):
             return (
                 s._stack[: len(s)].tolist(), s._pos.tolist(), s.updates,
-                s.total_swaps, s._bpos, s._ubpos, s._external_dense,
+                s.total_swaps, s._bpos, s._external_dense,
                 s._rng.bit_generator.state,
             )
 
@@ -244,9 +236,8 @@ class TestStackApi:
             for kids in bad:
                 with pytest.raises(ValueError):
                     stack.access_many_interned(kids)
-                if strategy == "backward":
-                    with pytest.raises(ValueError):
-                        walk_backward_lanes([stack], [kids])
+                with pytest.raises(ValueError):
+                    walk_backward_lanes([stack], [kids])
             assert snapshot(stack) == before
         fresh.access_many([5, 6])  # still free to intern raw keys
 
@@ -281,11 +272,12 @@ class TestModelEngine:
         rng = np.random.default_rng(seed)
         return Trace(rng.integers(0, u, size=n), name=f"t{seed}")
 
-    @pytest.mark.parametrize("strategy", SOA_STRATEGIES)
+    @pytest.mark.parametrize("strategy", ["backward", "linear"])
     @pytest.mark.parametrize("rate", [None, 0.5, 1.0])
     def test_process_engine_invariant(self, strategy, rate):
-        """``process`` on the model's SoA stack matches the scalar
-        reference built from the parts, on curves and all counters."""
+        """``process`` on the model's stack (SoA for backward, scalar for
+        linear) matches the scalar reference built from the parts, on
+        curves and all counters."""
         trace = self.make_trace()
         m = KRRModel(k=3, strategy=strategy, sampling_rate=rate, seed=7)
         m.process(trace)
@@ -296,8 +288,31 @@ class TestModelEngine:
         assert np.array_equal(m.mrc().miss_ratios, curve.miss_ratios)
         assert astuple(m.stats) == counters
 
+    @pytest.mark.parametrize(
+        "strategy, track_sizes, kind",
+        [
+            ("backward", False, SoAKRRStack),
+            ("linear", False, KRRStack),
+            ("topdown", False, KRRStack),
+            ("backward", True, KRRStack),
+            ("linear", True, KRRStack),
+            ("topdown", True, KRRStack),
+        ],
+    )
+    def test_build_stack_gives_soa_to_backward_objects_only(
+        self, strategy, track_sizes, kind
+    ):
+        """One table for a model and a grid cell alike: ``backward`` at
+        object granularity runs on SoA, everything else on the scalar
+        stack."""
+        assert type(build_stack(3.0, strategy, 0, track_sizes)) is kind
+        m = KRRModel(k=3, strategy=strategy, track_sizes=track_sizes, seed=0)
+        assert type(m._stack) is kind
+        config = SweepConfig(k=3, strategy=strategy, track_sizes=track_sizes)
+        cells, _ = MultiKRR([config])._cells()
+        assert type(cells[0].stack) is kind
+
     def assert_stack(self, strategy, track_sizes, kind, access_first=False):
-        assert soa_supports(strategy, track_sizes) == (kind is SoAKRRStack)
         m = KRRModel(k=3, strategy=strategy, track_sizes=track_sizes, seed=0)
         assert type(m._stack) is kind
         if access_first:
@@ -306,14 +321,15 @@ class TestModelEngine:
         assert type(m._stack) is kind
 
     def test_auto_resolves_soa_when_capable(self):
-        """Backward and linear walks without sizes build the SoA stack."""
-        for strategy in SOA_STRATEGIES:
-            self.assert_stack(strategy, False, SoAKRRStack)
+        """Backward walks without sizes build the SoA stack."""
+        self.assert_stack("backward", False, SoAKRRStack)
 
     def test_auto_falls_back_for_topdown_and_sizes(self):
-        """Top-down walks and size tracking build the scalar stack."""
-        self.assert_stack("topdown", False, KRRStack)
-        for strategy in SOA_STRATEGIES:
+        """Linear and top-down walks and size tracking build the scalar
+        stack."""
+        for strategy in ("linear", "topdown"):
+            self.assert_stack(strategy, False, KRRStack)
+        for strategy in ("backward", "linear"):
             self.assert_stack(strategy, True, KRRStack)
 
     def test_configuration_picks_one_stack(self):
@@ -321,7 +337,7 @@ class TestModelEngine:
         to another stack than its configuration picks."""
         for strategy, track_sizes, kind in [
             ("backward", False, SoAKRRStack),
-            ("linear", False, SoAKRRStack),
+            ("linear", False, KRRStack),
             ("topdown", False, KRRStack),
             ("backward", True, KRRStack),
             ("linear", True, KRRStack),

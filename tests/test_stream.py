@@ -546,7 +546,7 @@ def test_open_trace_stream_dispatch(tmp_path):
 # ----------------------------------------------------------------------
 # streamed == in-memory, bit for bit
 # ----------------------------------------------------------------------
-# backward/linear without sizes run on the SoA stack; topdown and
+# backward without sizes runs on the SoA stack; linear, topdown and
 # track_sizes keep the scalar stack covered.
 strategy_st = st.sampled_from(["backward", "linear", "topdown"])
 rate_st = st.sampled_from([None, 0.5])

@@ -92,10 +92,11 @@ class TestGridIdentity:
                 assert row.swap_positions == model.stats.swap_positions
 
     def test_mixed_grid_matches_independent_models(self):
-        """Scalar cells (topdown, track_sizes) ride the one pass beside the
-        SoA cells, and every row equals a standalone KRRModel.process run
-        with its seed, in memory at any chunk size and streamed from a
-        one-shot generator (the pass iterates its source once)."""
+        """Scalar cells (linear, topdown, track_sizes) ride the one pass
+        beside the SoA cells, and every row equals a standalone
+        KRRModel.process run with its seed, in memory at any chunk size
+        and streamed from a one-shot generator (the pass iterates its
+        source once)."""
         rng = np.random.default_rng(4)
         trace = Trace(
             rng.integers(0, 90, size=700),
@@ -184,6 +185,12 @@ class TestValidation:
             MultiKRR([])
         with pytest.raises(ValueError):
             MultiKRR.grid([2]).run(make_trace(), chunk_size=0)
+
+    def test_run_has_no_native_switch(self):
+        """Whether SoA cells walk natively is the process-wide kernel's
+        call (``REPRO_NATIVE``), not a per-run argument."""
+        with pytest.raises(TypeError):
+            MultiKRR.grid([2]).run(make_trace(), use_native=True)
 
     def test_result_mrc_roundtrip(self):
         rows = MultiKRR.grid([2], seed=0).run(make_trace())
